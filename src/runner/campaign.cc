@@ -1,105 +1,10 @@
 #include "runner/campaign.hh"
 
-#include <atomic>
-#include <cerrno>
-#include <chrono>
-#include <functional>
-#include <thread>
-
-#include "ckpt/ckpt.hh"
 #include "common/error.hh"
-#include "common/logging.hh"
-#include "common/serial.hh"
-#include "io/vfs.hh"
-#include "perf/clock.hh"
 #include "runner/executor.hh"
-#include "runner/sweep.hh"
+#include "runner/thread_pool.hh"
 
 namespace morphcache {
-
-namespace {
-
-/** Shared mutable state of one campaign execution. */
-struct CampaignCtx
-{
-    const std::vector<CampaignCell> &cells;
-    const CampaignOptions &opts;
-    std::string dir;
-    std::uint64_t hash = 0;
-    ManifestLog log;
-    std::vector<CellOutcome> outcomes;
-    std::vector<CellProgress> progress;
-    std::atomic<bool> interrupted{false};
-
-    CampaignCtx(const std::vector<CampaignCell> &c,
-                const CampaignOptions &o)
-        : cells(c), opts(o), dir(campaignStateDir(o.manifestPath)),
-          log(o.manifestPath)
-    {
-    }
-};
-
-/** Drive one cell through its retry budget. */
-void
-driveCell(CampaignCtx &ctx, std::size_t index)
-{
-    const CampaignCell &cell = ctx.cells[index];
-    std::uint64_t attempts = ctx.progress[index].attempts;
-    const std::uint64_t budget = 1 + ctx.opts.retryCells;
-
-    while (true) {
-        if (ckptInterruptRequested()) {
-            ctx.interrupted = true;
-            return;
-        }
-        ctx.log.appendCell(index, "running", attempts);
-        try {
-            CellOutcome o = runCellAttempt(
-                cell, cellCkptPath(ctx.dir, index),
-                CellAttemptOptions{ctx.opts.ckptEvery,
-                                   ctx.opts.cellTimeoutSec,
-                                   ctx.opts.wantStatsJson});
-            o.attempts = attempts + 1;
-            const std::string doc = serializeOutcome(o);
-            atomicWriteFile(cellResultPath(ctx.dir, index),
-                            doc.data(), doc.size());
-            ctx.log.appendCell(index, "done", attempts + 1);
-            ctx.outcomes[index] = std::move(o);
-            return;
-        } catch (const CellInterrupted &) {
-            // Checkpoint written; the cell stays `running` in the
-            // manifest and resumes from where it stopped.
-            ctx.interrupted = true;
-            return;
-        } catch (const std::exception &err) {
-            ++attempts;
-            ctx.log.appendCell(index, "failed", attempts);
-            warn("campaign cell %zu (%s) try %llu failed: %s",
-                 index, cell.label.c_str(),
-                 static_cast<unsigned long long>(attempts),
-                 err.what());
-            if (attempts >= budget) {
-                CellOutcome o;
-                o.failed = true;
-                o.label = cell.label;
-                o.seed = cell.spec.seed;
-                o.attempts = attempts;
-                o.error = err.what();
-                const std::string doc = serializeOutcome(o);
-                atomicWriteFile(cellResultPath(ctx.dir, index),
-                                doc.data(), doc.size());
-                ctx.outcomes[index] = std::move(o);
-                return;
-            }
-            // Bounded exponential backoff with seeded deterministic
-            // jitter before the retry (see retryDelayMs).
-            std::this_thread::sleep_for(std::chrono::milliseconds(
-                retryDelayMs(ctx.hash, index, attempts)));
-        }
-    }
-}
-
-} // namespace
 
 CampaignReport
 runCampaign(const std::vector<CampaignCell> &cells,
@@ -110,109 +15,41 @@ runCampaign(const std::vector<CampaignCell> &cells,
     if (cells.empty())
         throw ConfigError("campaign has no cells");
 
-    CampaignCtx ctx(cells, opts);
-    ctx.log.setWorker("cli");
-    ctx.outcomes.resize(cells.size());
-    ctx.progress.assign(cells.size(), CellProgress{});
-    ctx.hash = campaignHash(cells);
-    const int mk_rc = vfs().mkdirPath(ctx.dir);
-    if (mk_rc < 0 && mk_rc != -EEXIST) // EEXIST is the resume case
-        throwIo(VfsOp::Mkdir, ctx.dir, mk_rc);
+    if (opts.resume)
+        reopenManifest(opts.manifestPath, cells, opts.retryCells);
+    else
+        initManifest(opts.manifestPath, cells);
 
-    if (opts.resume) {
-        ctx.progress =
-            foldManifest(opts.manifestPath, cells.size(), ctx.hash);
-    } else {
-        std::string doc = manifestHeaderLine(cells.size(), ctx.hash,
-                                             unixNowSec());
-        for (std::size_t i = 0; i < cells.size(); ++i) {
-            doc += "{\"type\":\"cell\",\"index\":" +
-                   std::to_string(i) +
-                   ",\"status\":\"pending\",\"attempts\":0}\n";
-            // Clear any stale state a previous campaign under the
-            // same manifest path left behind, so cells never
-            // restore from another campaign's checkpoints, results,
-            // or leases. ENOENT is the common case (nothing there);
-            // any other failure means the stale file *survived* and
-            // could later masquerade as this campaign's state, so it
-            // must be a typed error, not a shrug.
-            const std::string stale[] = {
-                cellCkptPath(ctx.dir, i),
-                cellCkptPath(ctx.dir, i) + ".prev",
-                cellResultPath(ctx.dir, i),
-                cellLeasePath(ctx.dir, i),
-            };
-            for (const std::string &path : stale) {
-                const int rm_rc = vfs().unlinkPath(path);
-                if (rm_rc < 0 && rm_rc != -ENOENT)
-                    throwIo(VfsOp::Unlink, path, rm_rc);
-            }
-        }
-        atomicWriteFile(opts.manifestPath, doc.data(), doc.size());
-    }
-
-    const std::uint64_t budget = 1 + opts.retryCells;
-    std::vector<std::size_t> todo;
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        CellProgress &prog = ctx.progress[i];
-        const bool terminal =
-            prog.status == "done" ||
-            (prog.status == "failed" && prog.attempts >= budget);
-        if (terminal) {
-            const std::string path = cellResultPath(ctx.dir, i);
-            try {
-                const std::vector<std::uint8_t> bytes =
-                    readFileBytes(path);
-                ctx.outcomes[i] = parseOutcome(
-                    path,
-                    std::string(bytes.begin(), bytes.end()));
-                continue;
-            } catch (const CkptError &err) {
-                warn("campaign cell %zu result unusable (%s); "
-                     "rerunning",
-                     i, err.what());
-                prog = CellProgress{};
-            }
-        }
-        todo.push_back(i);
-    }
-
-    if (!todo.empty()) {
-        SweepRunner runner(opts.jobs);
-        std::vector<std::function<int()>> tasks;
-        tasks.reserve(todo.size());
-        for (std::size_t i : todo) {
-            tasks.push_back([&ctx, i]() {
-                driveCell(ctx, i);
-                return 0;
-            });
-        }
-        const auto results = runner.run(std::move(tasks));
-        // driveCell absorbs cell failures itself; anything that
-        // escaped is campaign infrastructure I/O (manifest or
-        // checkpoint write) and marks the cell terminally failed.
-        for (std::size_t k = 0; k < todo.size(); ++k) {
-            const std::size_t i = todo[k];
-            CellOutcome &o = ctx.outcomes[i];
-            if (!results[k].ok() && !o.ok && !o.failed) {
-                o.failed = true;
-                o.label = cells[i].label;
-                o.seed = cells[i].spec.seed;
-                o.attempts = ctx.progress[i].attempts + 1;
-                o.error = results[k].error;
-            }
-        }
-    }
+    // This process is the whole fleet: its claim threads are the
+    // workers.
+    ExecutorOptions eopts;
+    eopts.manifestPath = opts.manifestPath;
+    eopts.jobs = opts.jobs != 0 ? opts.jobs
+                                : ThreadPool::defaultThreads();
+    eopts.ckptEvery = opts.ckptEvery;
+    eopts.retryCells = opts.retryCells;
+    eopts.cellTimeoutSec = opts.cellTimeoutSec;
+    eopts.wantStatsJson = opts.wantStatsJson;
+    eopts.workerId = "cli";
+    const ExecutorReport run = runExecutor(cells, eopts);
 
     CampaignReport report;
     report.cells = cells.size();
-    report.interrupted =
-        ctx.interrupted.load() || ckptInterruptRequested();
+    report.interrupted = run.interrupted;
     if (report.interrupted)
         return report;
 
+    std::vector<CellOutcome> outcomes(cells.size());
+    const std::size_t missing =
+        loadCellResults(opts.manifestPath, outcomes);
+    if (missing != 0) {
+        throw CkptError("campaign '" + opts.manifestPath + "': " +
+                        std::to_string(missing) +
+                        " cells ended without a durable result; "
+                        "resume to finish");
+    }
     RenderedReport rendered =
-        renderCampaignReport(cells, ctx.outcomes, opts.wantStatsJson);
+        renderCampaignReport(cells, outcomes, opts.wantStatsJson);
     report.reportText = std::move(rendered.reportText);
     report.statsJsonArray = std::move(rendered.statsJsonArray);
     report.done = rendered.done;

@@ -1,38 +1,33 @@
 /**
  * @file
- * Crash-resilient resumable sweep campaigns.
+ * Crash-resilient resumable sweep campaigns in one process.
  *
- * A campaign is an ordered list of independent cells (one RunSpec
- * each) driven across a worker pool, with durable progress:
+ * runCampaign() is `morphcache_sim --sweep --manifest/--resume`: a
+ * composition of the campaign engine's parts, not a second engine.
  *
- *  - a JSONL *manifest* records one header line plus an append-only
- *    event log of per-cell status transitions
- *    (pending/running/done/failed with an attempt count) — the
- *    last event per cell wins, and a torn final line (the crash
- *    case) is ignored;
- *  - a state directory `<manifest>.d/` holds per-cell checkpoint
- *    chains (`cellNNNN.ckpt` + `.prev`) written every --ckpt-every
- *    recorded epochs, and `cellNNNN.result.json` files written
- *    atomically when a cell completes;
- *  - resume folds the manifest, replays done cells from their
- *    result files byte-for-byte, restores in-progress cells from
- *    their checkpoint chains, and reruns the rest — so a campaign
- *    SIGKILLed at any point finishes with output bytes identical
- *    to a never-interrupted run;
- *  - failed cells retry with bounded exponential backoff (up to
- *    retryCells extra tries) and otherwise stay explicitly marked
- *    `"status":"failed"` — they are reported, never silently
- *    dropped, and excluded from the stats aggregate;
- *  - a wall-clock watchdog cancels cells that exceed
- *    cellTimeoutSec (cooperatively, at epoch granularity), turning
- *    hung cells into retryable failures;
- *  - SIGINT/SIGTERM (via the ckpt interrupt flag) checkpoint the
- *    running cells at the next epoch boundary and stop cleanly;
- *    the caller exits with ckptResumableExit.
+ *  - *init*: a fresh run writes the JSONL manifest (initManifest,
+ *    manifest.hh) and clears stale per-cell state under
+ *    `<manifest>.d/`; a resumed run reopens it (reopenManifest):
+ *    header check, every lease a killed run left behind cleared,
+ *    unusable result files dropped so their cells rerun, and so
+ *    are failed cells a larger retryCells leaves tries for;
+ *  - *run*: an in-process work-stealing executor (executor.hh)
+ *    whose claim threads are the workers — per-cell checkpoint
+ *    chains every ckptEvery recorded epochs, bounded retries with
+ *    seeded backoff (retryCells), the cellTimeoutSec watchdog, and
+ *    SIGINT/SIGTERM checkpointing the running cells so the caller
+ *    can exit with ckptResumableExit; cells that already have a
+ *    result file are not rerun;
+ *  - *merge*: the result files are read back by the same loader
+ *    `mc_campaign merge` uses and rendered by
+ *    renderCampaignReport. Failed cells are reported as
+ *    `"status":"failed"`, never silently dropped, and excluded from
+ *    the stats aggregate.
  *
  * Everything in CampaignReport is a pure function of the cell list
  * and the per-cell simulated results: bytes are identical for any
- * job count, kill point, or resume count.
+ * job count, kill point, or resume count, and identical to an
+ * `mc_campaign init/work/merge` run of the same plan.
  */
 
 #ifndef MORPHCACHE_RUNNER_CAMPAIGN_HH
@@ -58,7 +53,7 @@ struct CampaignOptions
     std::uint32_t retryCells = 0;
     /** Wall-clock watchdog per cell try, seconds (0 = off). */
     double cellTimeoutSec = 0.0;
-    /** Fold an existing manifest instead of starting fresh. */
+    /** Reopen an existing manifest instead of starting fresh. */
     bool resume = false;
     /** Collect per-cell stats-registry JSON into the report. */
     bool wantStatsJson = false;
@@ -82,7 +77,8 @@ struct CampaignReport
 
 /**
  * Run (or resume) a campaign. Throws CkptError when resuming
- * against a manifest whose header does not match the cell list,
+ * against a manifest whose header does not match the cell list or
+ * when the state directory fails persistently (resume to finish),
  * and ConfigError on malformed options.
  */
 CampaignReport runCampaign(const std::vector<CampaignCell> &cells,

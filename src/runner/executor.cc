@@ -4,25 +4,45 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <exception>
 #include <map>
 #include <mutex>
+#include <string>
 #include <thread>
 
 #include "ckpt/ckpt.hh"
 #include "common/error.hh"
 #include "common/logging.hh"
+#include "io/vfs.hh"
 #include "runner/lease.hh"
 #include "runner/run_factory.hh"
-#include "runner/sweep.hh"
 #include "sim/simulation.hh"
 #include "stats/registry.hh"
 
 namespace morphcache {
 
+namespace {
+
+/**
+ * Thrown out of runCellAttempt() when the cooperative interrupt
+ * flag is raised; the in-progress checkpoint has already been
+ * written, so the cell resumes from where it stopped.
+ */
+struct CellInterrupted
+{
+};
+
+/**
+ * One try of one cell: build the run, restore from `ckpt_path` (or
+ * its .prev fallback) when a checkpoint exists, step epochs —
+ * checkpointing every ckptEvery and honouring the interrupt flag
+ * and watchdog — and return the completed outcome (attempts is left
+ * for the caller to fill).
+ */
 CellOutcome
 runCellAttempt(const CampaignCell &cell,
                const std::string &ckpt_path,
-               const CellAttemptOptions &opts)
+               const ExecutorOptions &opts)
 {
     BuiltRun run = buildRun(cell.spec);
     StatsRegistry registry;
@@ -96,8 +116,6 @@ runCellAttempt(const CampaignCell &cell,
     return o;
 }
 
-namespace {
-
 /**
  * The leases this worker process currently holds, shared between
  * claim threads (which add/update/remove entries) and the single
@@ -116,11 +134,18 @@ class HeldLeases
         held_[lease.index] = lease;
     }
 
+    /**
+     * Reserve `index` for the calling claim thread before it claims
+     * the lease (a generation-0 placeholder the heartbeat skips);
+     * false when a sibling thread already has it. No two threads of
+     * one process ever race for one lease, so a claim that comes
+     * back Held or Raced always means another process.
+     */
     bool
-    contains(std::size_t index)
+    reserve(std::size_t index)
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        return held_.find(index) != held_.end();
+        return held_.emplace(index, LeaseInfo{}).second;
     }
 
     void
@@ -145,8 +170,10 @@ class HeldLeases
         std::lock_guard<std::mutex> lock(mutex_);
         std::vector<LeaseInfo> out;
         out.reserve(held_.size());
-        for (const auto &kv : held_)
-            out.push_back(kv.second);
+        for (const auto &kv : held_) {
+            if (kv.second.generation != 0)
+                out.push_back(kv.second);
+        }
         return out;
     }
 
@@ -184,6 +211,11 @@ struct ExecutorCtx
     std::atomic<std::size_t> fenced{0};
     std::atomic<bool> interrupted{false};
     std::atomic<bool> stopHeartbeat{false};
+    /** The manifest as runExecutor first folded it. */
+    std::vector<CellProgress> startProgress;
+    /** First error that stopped a claim thread (rethrown). */
+    std::mutex errorMutex;
+    std::exception_ptr error;
     std::mutex heartbeatMutex;
     std::condition_variable heartbeatCv;
 
@@ -257,10 +289,7 @@ driveClaimedCell(ExecutorCtx &ctx, std::size_t index,
         ctx.held.setAttempts(index, attempts);
         try {
             CellOutcome o = runCellAttempt(
-                cell, cellCkptPath(ctx.dir, index),
-                CellAttemptOptions{ctx.opts.ckptEvery,
-                                   ctx.opts.cellTimeoutSec,
-                                   ctx.opts.wantStatsJson});
+                cell, cellCkptPath(ctx.dir, index), ctx.opts);
             o.attempts = attempts + 1;
             if (commit(o)) {
                 appendQuiet(ctx, index, "done", attempts + 1);
@@ -297,49 +326,61 @@ driveClaimedCell(ExecutorCtx &ctx, std::size_t index,
             // Seeded deterministic jitter spreads the fleet's
             // retries; the heartbeat thread keeps the lease alive
             // while we wait.
-            std::this_thread::sleep_for(std::chrono::milliseconds(
-                retryDelayMs(ctx.hash, index, attempts)));
+            vfs().sleepMs(retryDelayMs(ctx.hash, index, attempts));
         }
     }
-    ctx.held.remove(index);
     releaseLease(ctx.dir, mine);
+    ctx.held.remove(index);
 }
 
 /**
  * One claim thread: scan for cells without results, claim what it
  * can (stealing expired leases), and drive each claimed cell to a
- * durable result. Exits when every cell has a result or on
- * interrupt. `slot` staggers the scan origin so a fleet's threads
- * fan out across the cell list instead of racing for cell 0.
+ * durable result. Exits when no unfinished cell is left that
+ * another process holds — cells a sibling thread drives are the
+ * sibling's to finish — or on interrupt. Polls (every TTL/4, at
+ * most 1 s) only while another process holds a cell or a claim hit
+ * a transient I/O fault. `slot` staggers the scan origin so a fleet's
+ * threads fan out across the cell list instead of racing for
+ * cell 0. Throws when the manifest cannot be read or a lease
+ * written for a non-transient reason: the worker has lost its
+ * filesystem.
  */
 void
 claimLoop(ExecutorCtx &ctx, unsigned slot, unsigned slots)
 {
     const std::size_t n = ctx.cells.size();
-    const double poll_sec =
-        std::min(1.0, std::max(0.05, ctx.opts.leaseTtlSec / 4.0));
+    const auto poll_ms = static_cast<std::uint64_t>(
+        1000.0 * std::min(1.0, std::max(0.05,
+                                        ctx.opts.leaseTtlSec / 4.0)));
 
-    while (!ckptInterruptRequested() && !ctx.interrupted) {
-        // Refold once per pass: reclaimed cells inherit the larger
-        // of the lease's attempt count and the manifest's (a clean
-        // release loses the lease file but never the events).
-        std::vector<CellProgress> progress;
+    // The first pass uses runExecutor's fail-fast fold; every later
+    // pass refolds: reclaimed cells inherit the larger of the lease's
+    // attempt count and the manifest's (a clean release loses the
+    // lease file but never the events).
+    std::vector<CellProgress> progress = ctx.startProgress;
+    for (bool refold = false;
+         !ckptInterruptRequested() && !ctx.interrupted; refold = true) {
         try {
-            progress = foldManifest(ctx.opts.manifestPath, n,
-                                    ctx.hash);
+            if (refold) {
+                progress = foldManifest(ctx.opts.manifestPath, n,
+                                        ctx.hash);
+            }
         } catch (const CkptError &err) {
+            const auto *io = dynamic_cast<const IoError *>(&err);
+            if (io != nullptr && !io->transient())
+                throw;
             // A torn header read can only mean the manifest is
             // being rewritten or the filesystem hiccuped; back off
             // and rescan rather than killing the worker.
             warn("worker %s: manifest fold failed (%s); retrying",
                  ctx.opts.workerId.c_str(), err.what());
-            std::this_thread::sleep_for(
-                std::chrono::duration<double>(poll_sec));
+            vfs().sleepMs(poll_ms);
             continue;
         }
 
-        bool pending_left = false;
         bool claimed_any = false;
+        bool wait_for_others = false;
         for (std::size_t k = 0; k < n; ++k) {
             if (ckptInterruptRequested() || ctx.interrupted)
                 break;
@@ -347,33 +388,44 @@ claimLoop(ExecutorCtx &ctx, unsigned slot, unsigned slots)
                 (k + slot * (n / std::max(1u, slots))) % n;
             if (fileExists(cellResultPath(ctx.dir, i)))
                 continue;
-            pending_left = true;
             // Never steal from a sibling thread: if this process
             // already drives the cell, its lease expiring only
             // means our own heartbeat stalled (machine overload) —
             // reclaiming it here would have two threads of one
             // worker racing on the same cell state.
-            if (ctx.held.contains(i))
+            if (!ctx.held.reserve(i))
                 continue;
 
             LeaseInfo mine;
-            LeaseClaim claim;
+            LeaseClaim claim = LeaseClaim::Raced;
             try {
                 claim = tryClaimCell(ctx.dir, i,
                                      ctx.opts.workerId,
                                      ctx.opts.leaseTtlSec, mine);
             } catch (const LeaseError &err) {
+                // A lost race or a transient fault is worth another
+                // pass; a lease write failing ENOSPC/EIO/EROFS fails
+                // the same way on every pass (see tryClaimCell).
+                try {
+                    std::rethrow_if_nested(err);
+                } catch (const IoError &io) {
+                    if (!io.transient())
+                        throw;
+                }
                 warn("worker %s: claim of cell %zu failed: %s",
                      ctx.opts.workerId.c_str(), i, err.what());
+            }
+            if (claim != LeaseClaim::Claimed) {
+                ctx.held.remove(i);
+                wait_for_others = true;
                 continue;
             }
-            if (claim != LeaseClaim::Claimed)
-                continue;
             // A second look after the claim: the previous owner may
             // have committed its result between our existence check
             // and the claim; never rerun a finished cell.
             if (fileExists(cellResultPath(ctx.dir, i))) {
                 releaseLease(ctx.dir, mine);
+                ctx.held.remove(i);
                 continue;
             }
             if (mine.generation > 1)
@@ -385,15 +437,15 @@ claimLoop(ExecutorCtx &ctx, unsigned slot, unsigned slots)
             driveClaimedCell(ctx, i, mine);
         }
 
-        if (!pending_left)
+        if (claimed_any)
+            continue;
+        if (!wait_for_others)
             break;
-        if (!claimed_any) {
-            // Everything unfinished is leased to live workers: wait
-            // for them to finish or their leases to expire (either
-            // way the next pass makes progress).
-            std::this_thread::sleep_for(
-                std::chrono::duration<double>(poll_sec));
-        }
+        // Everything unfinished is leased to live workers elsewhere
+        // (or a claim hit a transient I/O fault): wait for them to
+        // finish or their leases to expire (either way the next pass
+        // makes progress).
+        vfs().sleepMs(poll_ms);
     }
 }
 
@@ -464,14 +516,21 @@ runExecutor(const std::vector<CampaignCell> &cells,
     ctx.log.setWorker(normalized.workerId);
     ctx.hash = campaignHash(cells);
     // Fail fast on a header mismatch before claiming anything.
-    foldManifest(normalized.manifestPath, cells.size(), ctx.hash);
+    ctx.startProgress =
+        foldManifest(normalized.manifestPath, cells.size(), ctx.hash);
 
     std::thread heartbeat([&ctx] { heartbeatLoop(ctx); });
     std::vector<std::thread> claimers;
     claimers.reserve(normalized.jobs);
     for (unsigned t = 0; t < normalized.jobs; ++t) {
         claimers.emplace_back([&ctx, t, &normalized] {
-            claimLoop(ctx, t, normalized.jobs);
+            try {
+                claimLoop(ctx, t, normalized.jobs);
+            } catch (...) {
+                std::lock_guard<std::mutex> lock(ctx.errorMutex);
+                if (!ctx.error)
+                    ctx.error = std::current_exception();
+            }
         });
     }
     for (std::thread &t : claimers)
@@ -482,6 +541,8 @@ runExecutor(const std::vector<CampaignCell> &cells,
     }
     ctx.heartbeatCv.notify_all();
     heartbeat.join();
+    if (ctx.error)
+        std::rethrow_exception(ctx.error);
 
     ExecutorReport report;
     report.completed = ctx.completed.load();

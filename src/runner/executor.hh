@@ -1,35 +1,38 @@
 /**
  * @file
- * Work-stealing campaign executor: N independent worker processes
- * draining one manifest.
+ * Work-stealing campaign executor: the one cell engine.
  *
- * runExecutor() is the engine behind `mc_campaign work`. Each
- * invocation is one *worker process*; any number of them — launched
- * by `--workers M`, or by hand in separate shells, or on separate
- * hosts sharing a filesystem — cooperate on the same campaign with
- * no coordinator:
+ * runExecutor() drains a campaign manifest as one *worker process*
+ * whose claim threads run cells concurrently. It is the engine
+ * behind both campaign front ends: `mc_campaign work`, where any
+ * number of worker processes — launched by `--workers M`, by hand
+ * in separate shells, or on separate hosts sharing a filesystem —
+ * cooperate on one campaign with no coordinator, and
+ * `morphcache_sim --sweep --manifest` (runCampaign, campaign.hh),
+ * where one process is the whole fleet.
  *
  *  - workers *claim* pending cells through the lease protocol
  *    (lease.hh): atomic link(2) claims, heartbeat renewals from a
  *    per-process heartbeat thread, generation-bump reclaims of
  *    expired leases;
- *  - a claimed cell runs through the same attempt/retry/checkpoint
- *    machinery as the in-process campaign runner — resuming from
- *    the newest per-cell checkpoint, retrying with the seeded
+ *  - a claimed cell runs attempt by attempt — resuming from the
+ *    newest per-cell checkpoint, retrying with the seeded
  *    deterministic backoff jitter (retryDelayMs), and recording
  *    every status transition in the shared manifest;
  *  - results are committed through the stale-lease fence
  *    (commitCellResult), so a worker that was descheduled past its
  *    lease deadline and resurrects can never clobber a newer
  *    attempt;
- *  - a worker keeps scanning until every cell has a durable result
- *    (stealing cells whose owners die along the way), so the fleet
- *    as a whole survives any worker dying at any point.
+ *  - a worker keeps scanning while another process holds an
+ *    unfinished cell (stealing it if its owner dies), so the fleet
+ *    as a whole survives any worker dying at any point; cells held
+ *    by the worker's own threads are theirs to finish, so idle
+ *    threads exit instead of polling.
  *
  * Because every cell's result bytes are a pure function of its
- * RunSpec, `mc_campaign merge` over the result files emits bytes
- * identical to an uninterrupted serial run, for any worker count
- * and any kill schedule.
+ * RunSpec, merging the result files (loadCellResults +
+ * renderCampaignReport) emits bytes identical to an uninterrupted
+ * serial run, for any worker count and any kill schedule.
  */
 
 #ifndef MORPHCACHE_RUNNER_EXECUTOR_HH
@@ -42,38 +45,6 @@
 #include "runner/manifest.hh"
 
 namespace morphcache {
-
-/**
- * Thrown out of runCellAttempt() when the cooperative interrupt
- * flag is raised; the in-progress checkpoint has already been
- * written, so the cell resumes from where it stopped.
- */
-struct CellInterrupted
-{
-};
-
-/** Knobs for a single cell attempt. */
-struct CellAttemptOptions
-{
-    /** Checkpoint every N recorded epochs (0 = off). */
-    std::uint32_t ckptEvery = 0;
-    /** Wall-clock watchdog per attempt, seconds (0 = off). */
-    double cellTimeoutSec = 0.0;
-    /** Collect the stats-registry JSON into the outcome. */
-    bool wantStatsJson = false;
-};
-
-/**
- * One try of one cell: build the run, restore from `ckpt_path` (or
- * its .prev fallback) when a checkpoint exists, step epochs —
- * checkpointing every ckptEvery and honouring the interrupt flag
- * and watchdog — and return the completed outcome (attempts is left
- * for the caller to fill). Shared by the in-process campaign runner
- * and the work-stealing executor so their cells cannot diverge.
- */
-CellOutcome runCellAttempt(const CampaignCell &cell,
-                           const std::string &ckpt_path,
-                           const CellAttemptOptions &opts);
 
 struct ExecutorOptions
 {
@@ -115,9 +86,10 @@ struct ExecutorReport
  * interrupt flag stops us (interrupted). `cells` must be the
  * campaign's full cell list (planFromManifest(...).cells()); the
  * manifest header is verified against it. Throws CkptError on a
- * campaign/manifest mismatch and ConfigError on malformed options;
- * lease races and cell failures are handled internally and never
- * escape.
+ * campaign/manifest mismatch, ConfigError on malformed options, and
+ * the typed error of a non-transient I/O failure on the manifest
+ * or a lease claim (once every thread has stopped); lease races
+ * and cell failures are handled internally and never escape.
  */
 ExecutorReport runExecutor(const std::vector<CampaignCell> &cells,
                            const ExecutorOptions &opts);

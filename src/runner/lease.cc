@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <exception>
 
 #include "common/error.hh"
 #include "common/serial.hh"
@@ -124,6 +125,19 @@ leaseScratchPath(const std::string &lease_path)
            std::to_string(seq.fetch_add(1));
 }
 
+/** Throw LeaseError `what` with the seam's typed IoError nested
+ * inside, so a caller can tell a persistent fault from a race. */
+[[noreturn]] void
+throwLeaseIo(VfsOp op, const std::string &path, long neg_errno,
+             const std::string &what)
+{
+    try {
+        throwIo(op, path, neg_errno);
+    } catch (const IoError &) {
+        std::throw_with_nested(LeaseError(what));
+    }
+}
+
 /**
  * Write lease content to the scratch file (flushed + fsynced so a
  * power loss cannot publish a torn lease after the link/rename).
@@ -132,16 +146,13 @@ void
 writeLeaseScratch(const std::string &scratch,
                   const std::string &doc)
 {
-    // The lease API's contract is LeaseError (the executor catches
-    // it to fall back to the next cell), so the seam's typed IoError
-    // is wrapped rather than propagated.
     try {
         vfsWriteWholeFile(scratch, doc.data(), doc.size(),
                           /*want_fsync=*/true);
     } catch (const IoError &err) {
         vfs().unlinkPath(scratch); // best effort; scratch only
-        throw LeaseError(std::string("lease scratch write failed: ") +
-                         err.what());
+        std::throw_with_nested(LeaseError(
+            std::string("lease scratch write failed: ") + err.what()));
     }
 }
 
@@ -153,8 +164,9 @@ installAndVerify(const std::string &scratch,
     const int ren_rc = vfs().renamePath(scratch, path);
     if (ren_rc < 0) {
         vfs().unlinkPath(scratch);
-        throw LeaseError("'" + scratch + "': cannot rename to '" +
-                         path + "': " + std::strerror(-ren_rc));
+        throwLeaseIo(VfsOp::Rename, scratch, ren_rc,
+                     "'" + scratch + "': cannot rename to '" + path +
+                         "': " + std::strerror(-ren_rc));
     }
     // Read-back verification: concurrent reclaimers all rename
     // over the same path; the file holds the last writer, and only
@@ -202,7 +214,8 @@ tryClaimCell(const std::string &dir, std::size_t index,
             return LeaseClaim::Claimed;
         if (link_rc == -EEXIST)
             return LeaseClaim::Raced;
-        throw LeaseError("'" + path + "': cannot link lease: " +
+        throwLeaseIo(VfsOp::Link, path, link_rc,
+                     "'" + path + "': cannot link lease: " +
                          std::strerror(-link_rc));
     }
 

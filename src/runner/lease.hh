@@ -105,7 +105,10 @@ enum class LeaseClaim
  * starts at generation 1; reclaiming a stale or corrupt lease bumps
  * the stale generation and inherits its attempt count. On Claimed,
  * `mine` is the lease as written. Throws LeaseError only on I/O
- * failures that are not races (e.g. the state dir is missing).
+ * failures that are not races (e.g. the state dir is missing); the
+ * typed IoError that caused it rides nested inside
+ * (std::rethrow_if_nested), so a caller can tell a persistent fault
+ * (ENOSPC, EIO, EROFS) from a transient one.
  */
 LeaseClaim tryClaimCell(const std::string &dir, std::size_t index,
                         const std::string &worker_id,

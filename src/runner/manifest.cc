@@ -700,35 +700,124 @@ planFromManifest(const std::string &path)
         "recipe workers need");
 }
 
+namespace {
+
+/**
+ * Remove one per-cell state file. ENOENT is the common case (nothing
+ * there); any other failure means the file *survived* and could later
+ * pass for this campaign's state (the executor skips every cell that
+ * has a result file), so it is a typed error, not a shrug.
+ */
 void
-initManifestWithPlan(const std::string &path,
-                     const CampaignPlan &plan)
+unlinkStale(const std::string &path)
 {
-    const std::vector<CampaignCell> cellList = plan.cells();
-    if (cellList.empty())
-        throw ConfigError("campaign plan generates no cells");
-    const std::string dir = campaignStateDir(path);
-    const int mk_rc = vfs().mkdirPath(dir);
-    if (mk_rc < 0 && mk_rc != -EEXIST)
-        throwIo(VfsOp::Mkdir, dir, mk_rc);
+    const int rc = vfs().unlinkPath(path);
+    if (rc < 0 && rc != -ENOENT)
+        throwIo(VfsOp::Unlink, path, rc);
+}
+
+/** Read and parse one result file; CkptError when unusable. */
+CellOutcome
+readCellResult(const std::string &path)
+{
+    const std::vector<std::uint8_t> bytes = readFileBytes(path);
+    return parseOutcome(path, std::string(bytes.begin(), bytes.end()));
+}
+
+/** Create the state directory of `manifest_path` if missing. */
+std::string
+makeStateDir(const std::string &manifest_path)
+{
+    const std::string dir = campaignStateDir(manifest_path);
+    const int rc = vfs().mkdirPath(dir);
+    if (rc < 0 && rc != -EEXIST)
+        throwIo(VfsOp::Mkdir, dir, rc);
+    return dir;
+}
+
+} // namespace
+
+void
+initManifest(const std::string &path,
+             const std::vector<CampaignCell> &cells,
+             const CampaignPlan *plan)
+{
+    if (cells.empty())
+        throw ConfigError("campaign has no cells");
+    const std::string dir = makeStateDir(path);
 
     std::string doc = manifestHeaderLine(
-        cellList.size(), campaignHash(cellList), unixNowSec());
-    doc += plan.jsonLine();
-    for (std::size_t i = 0; i < cellList.size(); ++i) {
+        cells.size(), campaignHash(cells), unixNowSec());
+    if (plan != nullptr)
+        doc += plan->jsonLine();
+    for (std::size_t i = 0; i < cells.size(); ++i) {
         doc += "{\"type\":\"cell\",\"index\":" + std::to_string(i) +
                ",\"status\":\"pending\",\"attempts\":0}\n";
         // Clear any stale state a previous campaign under the same
         // manifest path left behind, so cells never restore from
-        // another campaign's checkpoints or leases. A missing file
-        // is the normal case; anything else is best-effort here
-        // and caught by the hash check when the cell first runs.
-        vfs().unlinkPath(cellCkptPath(dir, i));
-        vfs().unlinkPath(cellCkptPath(dir, i) + ".prev");
-        vfs().unlinkPath(cellResultPath(dir, i));
-        vfs().unlinkPath(cellLeasePath(dir, i));
+        // another campaign's checkpoints, results, or leases.
+        unlinkStale(cellCkptPath(dir, i));
+        unlinkStale(cellCkptPath(dir, i) + ".prev");
+        unlinkStale(cellResultPath(dir, i));
+        unlinkStale(cellLeasePath(dir, i));
     }
     atomicWriteFile(path, doc.data(), doc.size());
+}
+
+void
+initManifestWithPlan(const std::string &path,
+                     const CampaignPlan &plan)
+{
+    initManifest(path, plan.cells(), &plan);
+}
+
+void
+reopenManifest(const std::string &path,
+               const std::vector<CampaignCell> &cells,
+               std::uint64_t retry_cells)
+{
+    // Fail on a mismatched manifest before touching its state.
+    foldManifest(path, cells.size(), campaignHash(cells));
+    const std::string dir = makeStateDir(path);
+    ManifestLog log(path);
+    log.setWorker("cli");
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        unlinkStale(cellLeasePath(dir, i));
+        const std::string result = cellResultPath(dir, i);
+        if (!fileExists(result))
+            continue;
+        // The executor skips every cell that has a result file, so
+        // a cell to rerun loses its file here; the pending event
+        // says how many tries it has already spent.
+        std::uint64_t spent = 0;
+        try {
+            const CellOutcome o = readCellResult(result);
+            if (!o.failed || o.attempts >= 1 + retry_cells)
+                continue;
+            spent = o.attempts; // failed, but the budget has grown
+        } catch (const CkptError &err) {
+            warn("campaign cell %zu result unusable (%s); rerunning",
+                 i, err.what());
+        }
+        unlinkStale(result);
+        log.appendCell(i, "pending", spent);
+    }
+}
+
+std::size_t
+loadCellResults(const std::string &manifest_path,
+                std::vector<CellOutcome> &outcomes)
+{
+    const std::string dir = campaignStateDir(manifest_path);
+    std::size_t missing = 0;
+    for (std::size_t i = 0; i < outcomes.size(); ++i) {
+        const std::string path = cellResultPath(dir, i);
+        if (fileExists(path))
+            outcomes[i] = readCellResult(path);
+        else
+            ++missing;
+    }
+    return missing;
 }
 
 } // namespace morphcache

@@ -15,11 +15,12 @@
  *                            attempt count); the last event per cell
  *                            wins and a torn final line is ignored
  *
- * Everything here is shared by the in-process campaign runner
- * (campaign.cc), the multi-process work-stealing executor
- * (executor.cc), and the mc_campaign tool — one serializer, one
- * folder, one report renderer, so a distributed campaign's merged
- * bytes cannot drift from a serial run's.
+ * Everything here is shared by the one cell engine (the
+ * work-stealing executor, executor.cc) and its two front ends —
+ * `morphcache_sim --manifest` (campaign.cc) and the mc_campaign
+ * tool: one initializer, one serializer, one folder, one result
+ * loader, one report renderer, so a distributed campaign's merged
+ * bytes cannot drift from a single-process run's.
  *
  * Next to the manifest lives the state directory `<manifest>.d/`
  * with per-cell checkpoint chains (`cellNNNN.ckpt[.prev]`), atomic
@@ -307,13 +308,44 @@ struct CampaignPlan
 CampaignPlan planFromManifest(const std::string &path);
 
 /**
- * Write a fresh manifest atomically: header, plan line, and one
- * pending event per cell. Creates the state directory and clears
- * any stale per-cell state a previous campaign under the same path
- * left behind.
+ * Write a fresh manifest atomically: header, the plan line when
+ * `plan` is given, and one pending event per cell. Creates the state
+ * directory and clears any per-cell state (checkpoints, results,
+ * leases) a previous campaign under the same path left behind; a
+ * stale file that cannot be removed is a typed IoError.
  */
+void initManifest(const std::string &path,
+                  const std::vector<CampaignCell> &cells,
+                  const CampaignPlan *plan = nullptr);
+
+/** initManifest for `plan`'s cells, embedding the plan line. */
 void initManifestWithPlan(const std::string &path,
                           const CampaignPlan &plan);
+
+/**
+ * Reopen an existing manifest to resume a single-process campaign:
+ * verify its header against `cells` (typed CkptError on mismatch),
+ * recreate the state directory if it is gone, and delete every cell
+ * lease — a killed run's leases would otherwise stall the resume for
+ * a whole TTL, and a manifest without a plan line has no fleet that
+ * could own one. Result files that will not parse (warned about) and
+ * those of failed cells with tries left under `retry_cells` are
+ * deleted and their cells queued pending again, so the executor
+ * reruns them; a failed cell keeps the attempts it has spent.
+ */
+void reopenManifest(const std::string &path,
+                    const std::vector<CampaignCell> &cells,
+                    std::uint64_t retry_cells);
+
+/**
+ * Read back the durable result of every cell (`outcomes` is sized to
+ * the cell count by the caller): the one merge-side loader. A cell
+ * without a result file keeps its default outcome and counts toward
+ * the returned number of missing results; a file that cannot be read
+ * or parsed throws CkptError.
+ */
+std::size_t loadCellResults(const std::string &manifest_path,
+                            std::vector<CellOutcome> &outcomes);
 
 } // namespace morphcache
 

@@ -15,6 +15,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -36,12 +38,25 @@ struct RunResult
     std::string output;
 };
 
+/**
+ * A TempDir path private to the running test: ctest runs every case
+ * as its own process, in parallel, so no two cases may share one.
+ */
+std::string
+testTempPath(const std::string &suffix)
+{
+    return ::testing::TempDir() + "mc_analyze_" +
+           ::testing::UnitTest::GetInstance()
+               ->current_test_info()
+               ->name() +
+           "_" + std::to_string(::getpid()) + "_" + suffix;
+}
+
 /** Run mc_analyze with `args`, capturing exit code and output. */
 RunResult
 runAnalyze(const std::string &args)
 {
-    const std::string out =
-        ::testing::TempDir() + "mc_analyze_out.txt";
+    const std::string out = testTempPath("out.txt");
     const std::string cmd = "python3 " MC_SOURCE_DIR
                             "/tools/mc_analyze " +
                             args + " > '" + out + "' 2>&1";
@@ -52,6 +67,7 @@ runAnalyze(const std::string &args)
     std::stringstream ss;
     ss << in.rdbuf();
     r.output = ss.str();
+    std::remove(out.c_str());
     return r;
 }
 
@@ -203,10 +219,9 @@ TEST(Analyze, CacheHitsAndContentInvalidation)
         "cache_probe.cc",
         readFile(MC_SOURCE_DIR
                  "/tests/analyze_fixtures/wrap_clean.cc"));
-    const std::string cache = ::testing::TempDir() + "an_cache";
-    // TempDir is not per-run: a cache dir left by a previous
-    // execution would make the "cold" run hit (same content, same
-    // hash key). Start from nothing.
+    const std::string cache = testTempPath("an_cache");
+    // Start from nothing: a leftover cache dir would make the
+    // "cold" run hit (same content, same hash key).
     std::filesystem::remove_all(cache);
     const std::string args = "--repo-root '" +
                              ::testing::TempDir() +
@@ -231,6 +246,7 @@ TEST(Analyze, CacheHitsAndContentInvalidation)
     EXPECT_NE(touched.output.find("(0 cached, 1 parsed)"),
               std::string::npos)
         << touched.output;
+    std::filesystem::remove_all(cache);
 }
 
 TEST(Analyze, AddingUnserializedMemberFailsTheBuild)

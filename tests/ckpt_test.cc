@@ -582,6 +582,39 @@ TEST(Campaign, FailedCellsAreMarkedAndExcludedNotDropped)
     removeCampaignFiles(opts.manifestPath, cells.size());
 }
 
+TEST(Campaign, ResumeWithLargerRetryBudgetRetriesFailedCells)
+{
+    const std::vector<CampaignCell> cells = smallCampaign(2);
+    CampaignOptions ref_opts;
+    ref_opts.manifestPath = tmpPath("camp_regrow_ref.jsonl");
+    ref_opts.jobs = 2;
+    const CampaignReport reference = runCampaign(cells, ref_opts);
+    removeCampaignFiles(ref_opts.manifestPath, cells.size());
+
+    CampaignOptions opts = ref_opts;
+    opts.manifestPath = tmpPath("camp_regrow.jsonl");
+    opts.cellTimeoutSec = 1e-9; // every try fails
+    const CampaignReport failed = runCampaign(cells, opts);
+    ASSERT_EQ(failed.failed, cells.size());
+
+    // Under the same budget a failed cell is final.
+    opts.resume = true;
+    const CampaignReport again = runCampaign(cells, opts);
+    EXPECT_EQ(again.reportText, failed.reportText);
+
+    // A larger budget retries it, counting the try already spent.
+    opts.retryCells = 1;
+    opts.cellTimeoutSec = 0.0;
+    const CampaignReport retried = runCampaign(cells, opts);
+    EXPECT_EQ(retried.failed, 0u);
+    EXPECT_EQ(retried.reportText, reference.reportText);
+    std::vector<CellOutcome> outcomes(cells.size());
+    ASSERT_EQ(loadCellResults(opts.manifestPath, outcomes), 0u);
+    for (const CellOutcome &o : outcomes)
+        EXPECT_EQ(o.attempts, 2u);
+    removeCampaignFiles(opts.manifestPath, cells.size());
+}
+
 TEST(Campaign, WatchdogCancelsOverrunningCells)
 {
     std::vector<CampaignCell> cells = smallCampaign(1);

@@ -25,6 +25,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
@@ -34,6 +35,8 @@
 #include "ckpt/ckpt.hh"
 #include "common/error.hh"
 #include "common/serial.hh"
+#include "io/faulty_vfs.hh"
+#include "io/vfs.hh"
 #include "runner/campaign.hh"
 #include "runner/executor.hh"
 #include "runner/lease.hh"
@@ -614,6 +617,52 @@ TEST(Executor, FlippedLeaseBitsEndInCleanReclamationNotDivergence)
     EXPECT_EQ(merged.reportText, reference.reportText);
     EXPECT_EQ(merged.statsJsonArray, reference.statsJsonArray);
     removeCampaignFiles(manifest, plan.cells().size());
+}
+
+/**
+ * The idle tail: a claim thread whose unfinished cells are all driven
+ * by its own siblings must exit, not sleep a poll interval (1 s at the
+ * default 30 s TTL) waiting for them. One slower cell guarantees the
+ * other threads run out of claimable cells while it is still held.
+ * Polls and backoff sleep through the Vfs seam, so the FaultyVfs
+ * (injecting nothing) counting zero sleeps is the exact check; the
+ * wall-clock bound, half of one poll, also catches a poll that
+ * sleeps outside the seam. The run takes 5-10 ms in an optimized
+ * build and 25-60 ms under ASan; a poll alone would take 1 s.
+ */
+TEST(Executor, SiblingHeldCellsEndTheRunWithoutAPoll)
+{
+    CampaignPlan plan = smallPlan(8);
+    plan.base.cores = 4;
+    plan.base.epochs = 1;
+    plan.base.refs = 50;
+    std::vector<CampaignCell> cells = plan.cells();
+    cells[0].spec.refs = 1000;
+    const std::string manifest = tmpPath("exec_tail.jsonl");
+    initManifest(manifest, cells);
+
+    ExecutorOptions eopts;
+    eopts.manifestPath = manifest;
+    eopts.jobs = 4;
+    ASSERT_EQ(eopts.leaseTtlSec, 30.0); // polls every 1 s
+    FaultPlan fplan;
+    fplan.faultPermille = 0;
+    FaultyVfs counting(vfs(), fplan);
+    ExecutorReport report;
+    const auto start = std::chrono::steady_clock::now();
+    {
+        ScopedVfs swap(&counting);
+        report = runExecutor(cells, eopts);
+    }
+    const double elapsed_s = std::chrono::duration<double>(
+                                 std::chrono::steady_clock::now() -
+                                 start)
+                                 .count();
+    EXPECT_TRUE(report.campaignComplete);
+    EXPECT_EQ(report.completed, cells.size());
+    EXPECT_EQ(counting.sleepCount(), 0u);
+    EXPECT_LT(elapsed_s, 0.5);
+    removeCampaignFiles(manifest, cells.size());
 }
 
 TEST(Executor, InterruptFlagStopsResumably)

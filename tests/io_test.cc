@@ -34,6 +34,7 @@
 #include "common/serial.hh"
 #include "io/faulty_vfs.hh"
 #include "io/vfs.hh"
+#include "runner/campaign.hh"
 #include "runner/lease.hh"
 #include "runner/manifest.hh"
 #include "stats/tracing.hh"
@@ -483,6 +484,38 @@ TEST(ManifestIo, FoldDiscardsTornBytesMergedIntoALine)
     vfs().unlinkPath(path);
 }
 
+TEST(ManifestIo, InitFailsTypedWhenAStaleResultSurvives)
+{
+    // A previous campaign's result file under the same manifest
+    // path would be merged as this campaign's (the executor skips
+    // every cell that has a result), so failing to remove it must
+    // stop init with a typed error, not be shrugged off.
+    CampaignPlan plan;
+    plan.base.scheme = "morph";
+    plan.mixLo = plan.mixHi = 1;
+    const std::string path = tmpPath("io_m_stale.jsonl");
+    const std::string dir = campaignStateDir(path);
+    vfs().mkdirPath(dir);
+    writeText(cellResultPath(dir, 0), "{\"label\":\"stale\"}\n");
+
+    FaultPlan fplan;
+    fplan.faultPermille = 0;
+    FaultyVfs faulty(vfs(), fplan);
+    faulty.failNext(VfsOp::Unlink, EIO, ".result.json");
+    {
+        ScopedVfs swap(&faulty);
+        try {
+            initManifestWithPlan(path, plan);
+            FAIL() << "expected IoError for the surviving result";
+        } catch (const IoError &err) {
+            EXPECT_EQ(err.errnoCode(), EIO);
+        }
+    }
+    EXPECT_TRUE(fileExists(cellResultPath(dir, 0)));
+    vfs().unlinkPath(cellResultPath(dir, 0));
+    vfs().unlinkPath(path);
+}
+
 // ---------------------------------------------------------------
 // Lease protocol under faults
 // ---------------------------------------------------------------
@@ -555,6 +588,47 @@ TEST(LeaseIo, ScratchWriteFailureIsALeaseError)
     LeaseInfo mine;
     EXPECT_THROW(tryClaimCell(dir, 0, "w1:1", 60.0, mine),
                  LeaseError);
+}
+
+TEST(LeaseIo, PersistentClaimFaultStopsTheCampaignTyped)
+{
+    // A full disk fails every lease write the same way, so a claim
+    // thread that treated it as a lost race and polled would spin
+    // forever. The IoError nested in the LeaseError stops the run
+    // with that typed error at the first failed claim instead.
+    CampaignPlan plan;
+    plan.base.scheme = "morph";
+    plan.base.cores = 8;
+    plan.base.epochs = 1;
+    plan.base.refs = 200;
+    plan.mixLo = plan.mixHi = 1;
+    const std::vector<CampaignCell> cells = plan.cells();
+    CampaignOptions opts;
+    opts.manifestPath = tmpPath("io_lease_enospc.jsonl");
+    opts.jobs = 1;
+
+    FaultPlan fplan;
+    fplan.faultPermille = 0;
+    FaultyVfs faulty(vfs(), fplan);
+    const std::size_t queued = 64;
+    for (std::size_t k = 0; k < queued; ++k)
+        faulty.failNext(VfsOp::Write, ENOSPC, ".lease.tmp.");
+    {
+        ScopedVfs swap(&faulty);
+        try {
+            runCampaign(cells, opts);
+            FAIL() << "expected IoError from the failing lease write";
+        } catch (const IoError &err) {
+            EXPECT_EQ(err.errnoCode(), ENOSPC);
+            EXPECT_FALSE(err.transient());
+        }
+    }
+    EXPECT_EQ(faulty.armedFaults(), queued - 1);
+    EXPECT_EQ(faulty.sleepCount(), 0u);
+    const std::string dir = campaignStateDir(opts.manifestPath);
+    EXPECT_FALSE(fileExists(cellResultPath(dir, 0)));
+    vfs().unlinkPath(cellLeasePath(dir, 0));
+    vfs().unlinkPath(opts.manifestPath);
 }
 
 TEST(LeaseIo, ReapSkipsLeaseDeletedUnderIt)

@@ -77,7 +77,7 @@ if python3 tools/mc_benchdiff.py "$out/now.json" "$out/slow.json" \
 fi
 echo "slowdown regression detected (as required)"
 
-baseline="$(ls BENCH_*.json 2>/dev/null | sort | tail -1 || true)"
+baseline="$(ls BENCH_*.json 2>/dev/null | sort -V | tail -1 || true)"
 if [ -n "$baseline" ]; then
     echo "== bench smoke: diff vs committed $baseline =="
     # Cross-machine: gate only on schema/id compatibility and
@@ -89,7 +89,7 @@ else
          "trajectory diff"
 fi
 
-previous="$(ls BENCH_*.json 2>/dev/null | sort | tail -2 | head -1 \
+previous="$(ls BENCH_*.json 2>/dev/null | sort -V | tail -2 | head -1 \
             || true)"
 if [ -n "$previous" ] && [ "$previous" != "$baseline" ]; then
     echo "== bench smoke: trajectory $previous -> $baseline =="

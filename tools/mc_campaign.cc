@@ -476,20 +476,9 @@ runMerge(const Options &opts)
 {
     const CampaignPlan plan = planFromManifest(opts.manifestPath);
     const std::vector<CampaignCell> cells = plan.cells();
-    const std::string dir = campaignStateDir(opts.manifestPath);
-
     std::vector<CellOutcome> outcomes(cells.size());
-    std::size_t missing = 0;
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        const std::string path = cellResultPath(dir, i);
-        if (!fileExists(path)) {
-            ++missing;
-            continue;
-        }
-        const std::vector<std::uint8_t> bytes = readFileBytes(path);
-        outcomes[i] = parseOutcome(
-            path, std::string(bytes.begin(), bytes.end()));
-    }
+    const std::size_t missing =
+        loadCellResults(opts.manifestPath, outcomes);
     if (missing != 0) {
         std::fprintf(stderr,
                      "campaign incomplete: %zu of %zu cells have "
