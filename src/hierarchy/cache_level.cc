@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstddef>
 #include <utility>
 
 #include "common/logging.hh"
@@ -323,24 +324,36 @@ CacheLevelModel::insertAtStackPosition(CoreId core, Addr line_addr,
     const auto &group = groupSlices(core);
     const std::uint64_t set = slices_[core].setIndex(line_addr);
 
-    // Victim: the first member (in group order) holding an invalid
-    // way wins with its lowest invalid way, else the group-wide LRU
-    // line (strict-min stamp, member-major way-minor scan order).
+    // One walk over the group's valid ways gathers their stamps and
+    // picks the victim: the first member (in group order) holding an
+    // invalid way wins with its lowest invalid way, else the
+    // group-wide LRU line (strict-min stamp, member-major way-minor
+    // scan order). The gather buffer is a reserved member: this runs
+    // once per PIPP insert and must not allocate (nth_element is
+    // in-place).
     SliceId target = invalidSlice;
     std::uint32_t target_way = 0;
+    bool evicts_lru = true;
     std::uint64_t oldest = ~std::uint64_t{0};
+    stampScratch_.clear();
     for (SliceId member : group) {
-        const std::uint32_t inv = slices_[member].firstInvalidWay(set);
-        if (inv != params_.sliceGeom.assoc) {
-            target = member;
-            target_way = inv;
-            break;
+        const CacheSlice &slice = slices_[member];
+        if (evicts_lru) {
+            const std::uint32_t inv = slice.firstInvalidWay(set);
+            if (inv != params_.sliceGeom.assoc) {
+                target = member;
+                target_way = inv;
+                evicts_lru = false;
+            }
         }
-        for (std::uint32_t way = 0; way < params_.sliceGeom.assoc;
-             ++way) {
-            const std::uint64_t stamp =
-                slices_[member].stampAt(set, way);
-            if (stamp < oldest) {
+        std::uint64_t m = slice.validMask(set);
+        while (m != 0) {
+            const auto way =
+                static_cast<std::uint32_t>(std::countr_zero(m));
+            m &= m - 1;
+            const std::uint64_t stamp = slice.stampAt(set, way);
+            stampScratch_.push_back(stamp);
+            if (evicts_lru && stamp < oldest) {
                 oldest = stamp;
                 target = member;
                 target_way = way;
@@ -350,27 +363,23 @@ CacheLevelModel::insertAtStackPosition(CoreId core, Addr line_addr,
     MC_ASSERT(target != invalidSlice);
 
     // The new line's recency equals that of the line currently at
-    // LRU-stack `position` (excluding the victim), so it enters the
-    // stack exactly there instead of at MRU. The gather buffer is a
-    // reserved member: this runs once per PIPP insert and must not
-    // allocate (std::sort is in-place).
-    stampScratch_.clear();
-    for (SliceId member : group) {
-        std::uint64_t m = slices_[member].validMask(set);
-        while (m != 0) {
-            const auto way =
-                static_cast<std::uint32_t>(std::countr_zero(m));
-            m &= m - 1;
-            if (member == target && way == target_way)
-                continue;
-            stampScratch_.push_back(
-                slices_[member].stampAt(set, way));
-        }
+    // LRU-stack `position` once the victim is gone, so it enters the
+    // stack exactly there instead of at MRU. Evicting the LRU line
+    // drops one copy of the minimum stamp from the gathered
+    // multiset, which moves every order statistic up by one; a
+    // position past the end of the stack takes a fresh MRU stamp.
+    const std::size_t rank =
+        std::size_t{position} + (evicts_lru ? 1 : 0);
+    std::uint64_t stamp;
+    if (rank < stampScratch_.size()) {
+        const auto nth = stampScratch_.begin() +
+                         static_cast<std::ptrdiff_t>(rank);
+        std::nth_element(stampScratch_.begin(), nth,
+                         stampScratch_.end());
+        stamp = *nth;
+    } else {
+        stamp = nextStamp();
     }
-    std::sort(stampScratch_.begin(), stampScratch_.end());
-    const std::uint64_t stamp = position < stampScratch_.size()
-                                    ? stampScratch_[position]
-                                    : nextStamp();
     return fillInto(core, target, target_way, line_addr, dirty,
                     stamp);
 }

@@ -440,9 +440,11 @@ class CacheLevelModel
     std::uint64_t stamp_ = 0;
     LevelStats stats_;
     /**
-     * Reusable stamp-gathering buffer for insertAtStackPosition
-     * (reserved to the group-wide way count at construction so the
-     * per-insert gather never allocates).
+     * Reusable buffer insertAtStackPosition gathers a group set's
+     * valid stamps into before selecting the stack position's stamp
+     * with nth_element (reserved to the level-wide way count, the
+     * largest possible group, at construction so the per-insert
+     * gather never allocates).
      */
     // ckpt: transient(reusable scratch; rewritten by every gather)
     std::vector<std::uint64_t> stampScratch_;

@@ -254,9 +254,9 @@ class CacheSlice
     /**
      * Invalidate the (valid) line at a known location — the
      * probe-free form of invalidate() for callers that already
-     * resolved the line's way (e.g. through the level's residency
-     * index). Identical state effects: valid and dirty clear, the
-     * address, stamp, and reused bit stay.
+     * resolved the line's way (e.g. a group lookup dropping a merge
+     * duplicate it just probed). Identical state effects: valid and
+     * dirty clear, the address, stamp, and reused bit stay.
      */
     Eviction
     invalidateAt(std::uint64_t set, std::uint32_t way)

@@ -8,8 +8,10 @@
  *  - golden stats fixtures: every scheme x a pair of mixes runs
  *    through runSimCell and the full stats JSON is compared
  *    byte-for-byte against a committed fixture generated before the
- *    struct-of-arrays refactor (regenerate deliberately with
- *    MC_UPDATE_GOLDEN=1);
+ *    struct-of-arrays refactor, and the cell's RunResult (per-epoch
+ *    throughput, IPC, and misses at %.17g) against a committed
+ *    `.run.txt` fixture, which pins the schemes that register no
+ *    stats (regenerate deliberately with MC_UPDATE_GOLDEN=1);
  *
  *  - naive reference models: victimWay, tree-PLRU victim descent,
  *    lazy invalidation of merge duplicates, and group-LRU victim
@@ -18,13 +20,16 @@
  *    change replacement semantics.
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -54,22 +59,25 @@ goldenDir()
     return std::string(MC_SOURCE_DIR) + "/tests/golden";
 }
 
-/** Fixture filename for one cell ("static:4:2:1" -> "static-4-2-1"). */
+/**
+ * Fixture filename for one cell ("static:4:2:1" -> "static-4-2-1"),
+ * `ext` being ".json" or ".run.txt".
+ */
 std::string
-fixturePath(const std::string &scheme, int mix)
+fixturePath(const std::string &scheme, int mix, const char *ext)
 {
     std::string tag = scheme;
     for (char &c : tag)
         if (c == ':')
             c = '-';
     char name[64];
-    std::snprintf(name, sizeof(name), "/%s_mix%02d.json", tag.c_str(),
-                  mix);
+    std::snprintf(name, sizeof(name), "/%s_mix%02d%s", tag.c_str(),
+                  mix, ext);
     return goldenDir() + name;
 }
 
 /** One small deterministic 4-core cell with stats JSON on. */
-std::string
+SimCellResult
 runGoldenCell(const std::string &scheme, int mix)
 {
     const HierarchyParams hier = fastScaleHierarchy(4);
@@ -91,7 +99,41 @@ runGoldenCell(const std::string &scheme, int mix)
     spec.seed = 42;
     spec.configDesc = "golden " + scheme;
     spec.wantStatsJson = true;
-    return runSimCell(spec).statsJson;
+    return runSimCell(spec);
+}
+
+/** %.17g, so equal text means a bit-equal double. */
+std::string
+exact(double v)
+{
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    return buf;
+}
+
+/** Text rendering of a RunResult, one line per metric row. */
+std::string
+renderRunResult(const RunResult &run)
+{
+    std::string out;
+    for (std::size_t e = 0; e < run.epochs.size(); ++e) {
+        const EpochMetrics &m = run.epochs[e];
+        const std::string tag = "epoch " + std::to_string(e);
+        out += tag + " throughput " + exact(m.throughput) + "\n";
+        out += tag + " ipc";
+        for (double ipc : m.ipc)
+            out += " " + exact(ipc);
+        out += "\n" + tag + " misses";
+        for (std::uint64_t misses : m.misses)
+            out += " " + std::to_string(misses);
+        out += "\n";
+    }
+    out += "avg_ipc";
+    for (double ipc : run.avgIpc)
+        out += " " + exact(ipc);
+    out += "\navg_throughput " + exact(run.avgThroughput) + "\n";
+    out += "performance " + exact(run.performance) + "\n";
+    return out;
 }
 
 std::string
@@ -115,22 +157,27 @@ TEST(GoldenStats, EverySchemeMatchesFixture)
         for (int mix : kGoldenMixes) {
             SCOPED_TRACE(std::string(scheme) + " mix " +
                          std::to_string(mix));
-            const std::string json = runGoldenCell(scheme, mix);
-            ASSERT_FALSE(json.empty());
-            const std::string path = fixturePath(scheme, mix);
-            if (update) {
-                std::ofstream out(path, std::ios::binary);
-                ASSERT_TRUE(out.good()) << path;
-                out << json;
-                continue;
+            const SimCellResult cell = runGoldenCell(scheme, mix);
+            ASSERT_FALSE(cell.statsJson.empty());
+            const std::pair<const char *, std::string> rendered[] = {
+                {".json", cell.statsJson},
+                {".run.txt", renderRunResult(cell.run)}};
+            for (const auto &[ext, text] : rendered) {
+                const std::string path = fixturePath(scheme, mix, ext);
+                if (update) {
+                    std::ofstream out(path, std::ios::binary);
+                    ASSERT_TRUE(out.good()) << path;
+                    out << text;
+                    continue;
+                }
+                const std::string golden = readFile(path);
+                ASSERT_FALSE(golden.empty())
+                    << "missing fixture " << path
+                    << " (regenerate with MC_UPDATE_GOLDEN=1)";
+                EXPECT_EQ(text, golden)
+                    << "simulated output diverged from the fixture: "
+                    << path;
             }
-            const std::string golden = readFile(path);
-            ASSERT_FALSE(golden.empty())
-                << "missing fixture " << path
-                << " (regenerate with MC_UPDATE_GOLDEN=1)";
-            EXPECT_EQ(json, golden)
-                << "stats JSON diverged from pre-refactor bytes: "
-                << path;
         }
     }
 }
@@ -139,7 +186,8 @@ TEST(GoldenStats, CellIsDeterministic)
 {
     // The fixture comparison is only meaningful if the cell itself
     // is run-to-run byte-stable.
-    EXPECT_EQ(runGoldenCell("morph", 1), runGoldenCell("morph", 1));
+    EXPECT_EQ(runGoldenCell("morph", 1).statsJson,
+              runGoldenCell("morph", 1).statsJson);
 }
 
 // ---------------------------------------------------------------
@@ -368,6 +416,191 @@ TEST(ReferenceModel, GroupLruEvictsGloballyOldestLine)
 
         resident[victim] = tinyLineInSet(set, k);
         stamps[victim] = ++stamp;
+    }
+}
+
+/** Where and how a stack-position insert lands, and what it evicts. */
+struct NaiveStackInsert
+{
+    SliceId slice = invalidSlice;
+    std::uint32_t way = 0;
+    std::uint64_t stamp = 0;
+    Eviction evicted;
+};
+
+/**
+ * Gather-and-sort reference for insertAtStackPosition: the victim
+ * scan, then every valid stamp of the group's set except the
+ * victim's gathered into a vector, fully sorted, and indexed at
+ * `position` (`next_stamp` past the end).
+ */
+NaiveStackInsert
+naiveStackPositionInsert(const CacheLevelModel &level, CoreId core,
+                         Addr line_addr, std::uint32_t position,
+                         std::uint64_t next_stamp)
+{
+    const auto &group = level.groupSlices(core);
+    const std::uint32_t assoc = level.params().sliceGeom.assoc;
+    const std::uint64_t set = level.slice(core).setIndex(line_addr);
+
+    SliceId target = invalidSlice;
+    std::uint32_t target_way = 0;
+    std::uint64_t oldest = ~std::uint64_t{0};
+    for (SliceId member : group) {
+        const std::uint32_t inv = level.slice(member).firstInvalidWay(set);
+        if (inv != assoc) {
+            target = member;
+            target_way = inv;
+            break;
+        }
+        for (std::uint32_t way = 0; way < assoc; ++way) {
+            const std::uint64_t stamp =
+                level.slice(member).stampAt(set, way);
+            if (stamp < oldest) {
+                oldest = stamp;
+                target = member;
+                target_way = way;
+            }
+        }
+    }
+
+    std::vector<std::uint64_t> stamps;
+    for (SliceId member : group) {
+        for (std::uint32_t way = 0; way < assoc; ++way) {
+            if (!level.slice(member).validAt(set, way))
+                continue;
+            if (member == target && way == target_way)
+                continue;
+            stamps.push_back(level.slice(member).stampAt(set, way));
+        }
+    }
+    std::sort(stamps.begin(), stamps.end());
+
+    NaiveStackInsert out;
+    out.slice = target;
+    out.way = target_way;
+    out.stamp = position < stamps.size() ? stamps[position] : next_stamp;
+    const CacheSlice &victim = level.slice(target);
+    if (victim.validAt(set, target_way)) {
+        out.evicted.valid = true;
+        out.evicted.lineAddr = victim.lineAddrAt(set, target_way);
+        out.evicted.dirty = victim.dirtyAt(set, target_way);
+        out.evicted.reused = victim.reusedAt(set, target_way);
+    }
+    return out;
+}
+
+/**
+ * Drive one level with random default inserts, hits, promotions,
+ * invalidations, and positional inserts, checking every positional
+ * insert against naiveStackPositionInsert.
+ */
+void
+checkStackPositionInserts(std::uint32_t group_size, std::uint32_t assoc,
+                          ReplPolicy policy)
+{
+    constexpr std::uint32_t kSlices = 16;
+    constexpr std::uint64_t kSets = 4;
+    LevelParams params = tinyLevel(kSlices);
+    params.sliceGeom = CacheGeometry{kSets * assoc * 64, assoc, 64};
+    params.policy = policy;
+    CacheLevelModel level(params);
+    Partition partition;
+    for (std::uint32_t s = 0; s < kSlices; ++s) {
+        if (s % group_size == 0)
+            partition.emplace_back();
+        partition.back().push_back(static_cast<SliceId>(s));
+    }
+    level.configure(partition);
+
+    Rng rng(7 + group_size * 131 + assoc * 17 +
+            (policy == ReplPolicy::LRU ? 0 : 1));
+    // Mirror of the level's recency counter: each default insert,
+    // default-promote hit, and past-the-end positional insert takes
+    // one stamp.
+    std::uint64_t counter = 0;
+    std::vector<Addr> lines;
+    Addr next_line = 0;
+    auto stampOf = [&](SliceId slice, Addr line) -> std::uint64_t {
+        const CacheSlice &sl = level.slice(slice);
+        const auto way = sl.probe(line);
+        EXPECT_TRUE(way.has_value());
+        return way ? sl.stampAt(sl.setIndex(line), *way) : 0;
+    };
+
+    int positional = 0;
+    for (int op = 0; op < 3000; ++op) {
+        SCOPED_TRACE("op " + std::to_string(op));
+        const CoreId core = static_cast<CoreId>(rng.below(kSlices));
+        const std::uint64_t set = rng.below(kSets);
+        const SliceId slice = static_cast<SliceId>(rng.below(kSlices));
+        const auto way = static_cast<std::uint32_t>(rng.below(assoc));
+        const std::uint64_t draw = rng.below(100);
+        if (draw < 25) {
+            const Addr line = set + (++next_line) * kSets;
+            const InsertOutcome out =
+                level.insert(core, line, rng.below(2) == 1);
+            ASSERT_EQ(stampOf(out.slice, line), ++counter);
+            lines.push_back(line);
+        } else if (draw < 35 && !lines.empty()) {
+            const Addr line = lines[rng.below(lines.size())];
+            const LookupOutcome out = level.lookup(core, line, 0);
+            if (out.hit) {
+                ASSERT_EQ(stampOf(out.slice, line), ++counter);
+            }
+        } else if (draw < 50) {
+            // promoteByOne swaps stamps, so it moves the duplicates
+            // earlier positional inserts created.
+            if (level.slice(slice).validAt(set, way))
+                level.promoteByOne(slice, set, way);
+        } else if (draw < 58) {
+            // Leave the set partly invalid.
+            if (level.slice(slice).validAt(set, way))
+                level.slice(slice).invalidateAt(set, way);
+        } else {
+            const Addr line = set + (++next_line) * kSets;
+            const auto position = static_cast<std::uint32_t>(
+                rng.below(group_size * assoc + 2));
+            const NaiveStackInsert want = naiveStackPositionInsert(
+                level, core, line, position, counter + 1);
+            const InsertOutcome got = level.insertAtStackPosition(
+                core, line, rng.below(2) == 1, position);
+            // Every resident stamp is <= counter, so only the
+            // past-the-end branch can install counter + 1.
+            if (want.stamp == counter + 1)
+                ++counter;
+            ++positional;
+            ASSERT_EQ(got.slice, want.slice);
+            ASSERT_EQ(got.evictedFrom, want.slice);
+            ASSERT_EQ(level.slice(got.slice).probe(line),
+                      std::optional<std::uint32_t>(want.way));
+            ASSERT_EQ(stampOf(got.slice, line), want.stamp)
+                << "position " << position;
+            ASSERT_EQ(got.evicted.valid, want.evicted.valid);
+            ASSERT_EQ(got.evicted.lineAddr, want.evicted.lineAddr);
+            ASSERT_EQ(got.evicted.dirty, want.evicted.dirty);
+            ASSERT_EQ(got.evicted.reused, want.evicted.reused);
+            lines.push_back(line);
+        }
+    }
+    EXPECT_GT(positional, 1000);
+}
+
+TEST(ReferenceModel, StackPositionInsertMatchesSortedReference)
+{
+    for (const std::uint32_t group_size : {1u, 2u, 4u, 16u}) {
+        for (const std::uint32_t assoc : {4u, 8u, 16u}) {
+            for (const ReplPolicy policy :
+                 {ReplPolicy::LRU, ReplPolicy::TreePLRU}) {
+                SCOPED_TRACE("group " + std::to_string(group_size) +
+                             " assoc " + std::to_string(assoc) +
+                             (policy == ReplPolicy::LRU ? " LRU"
+                                                        : " TreePLRU"));
+                checkStackPositionInserts(group_size, assoc, policy);
+                if (HasFatalFailure())
+                    return;
+            }
+        }
     }
 }
 
