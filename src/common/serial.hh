@@ -21,8 +21,8 @@
  * reaches each syscall; transient faults (EINTR/EAGAIN/ESTALE/...)
  * are retried a bounded number of times with seeded-jitter backoff,
  * persistent ones (ENOSPC/EIO/...) surface as a typed IoError.
- * mc_lint's `atomic-write` rule enforces that src/ file writes go
- * through it (or a sanctioned streaming sink). Setting MC_NO_FSYNC
+ * mc_analyze's `atomic-write` check enforces that src/ file writes
+ * go through it (or a sanctioned streaming sink). Setting MC_NO_FSYNC
  * in the environment skips the fsyncs (test-suite escape hatch).
  */
 

@@ -8,7 +8,7 @@
  * process-wide Vfs instance instead of calling POSIX directly. In
  * production that instance is RealVfs (the only translation unit in
  * src/ allowed to name open/write/fsync/rename/link — enforced by
- * mc_lint's `vfs-io` rule); under test it is FaultyVfs
+ * mc_analyze's `vfs-io` check); under test it is FaultyVfs
  * (faulty_vfs.hh), which injects ENOSPC/EIO/short-write/fsync-fail/
  * ESTALE faults and crash points from a splitMix64-seeded schedule,
  * so the whole failure space of a shared filesystem is enumerable

@@ -12,8 +12,8 @@ namespace morphcache {
 namespace {
 
 // Process-wide tallies. Relaxed atomics: monotonic counters read
-// only at snapshot time, never ordering anything (sanctioned in
-// mc_lint's globals allowlist alongside the logging registry —
+// only at snapshot time, never ordering anything (a sanctioned file
+// for mc_analyze's `globals` check alongside the logging registry —
 // telemetry only, never feeding simulated values).
 std::atomic<bool> meterEnabled{false};
 std::atomic<std::uint64_t> meterBytes{0};

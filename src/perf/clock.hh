@@ -6,11 +6,11 @@
  * but telemetry legitimately does: the phase profiler, lease
  * deadlines, manifest event timestamps, and the mc_bench harness
  * all measure or stamp wall-clock time. Those reads are funnelled
- * through this one translation unit so mc_lint's `wall-clock` rule
- * can forbid raw clock primitives everywhere else in src/, tools/,
- * and bench/ — a new clock read is a deliberate, reviewed addition
- * to the allowlist, not an accident that quietly couples output
- * bytes to the scheduler.
+ * through this one translation unit so mc_analyze's `wall-clock`
+ * check can forbid raw clock primitives everywhere else in src/,
+ * tools/, and bench/ — a new clock read is a deliberate, reviewed
+ * addition to its sanctioned files, not an accident that quietly
+ * couples output bytes to the scheduler.
  */
 
 #ifndef MORPHCACHE_PERF_CLOCK_HH

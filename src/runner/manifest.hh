@@ -26,8 +26,8 @@
  * with per-cell checkpoint chains (`cellNNNN.ckpt[.prev]`), atomic
  * result files (`cellNNNN.result.json`), and worker lease files
  * (`cellNNNN.lease`, see lease.hh). All writes under it go through
- * atomicWriteFile or the lease API (enforced by mc_lint's
- * `manifest-write` rule); the manifest itself is the one sanctioned
+ * atomicWriteFile or the lease API (enforced by mc_analyze's
+ * `manifest-write` check); the manifest itself is the one sanctioned
  * append-only writer, fsync-backed per event.
  */
 

@@ -16,8 +16,8 @@ class Widget
     void
     saveState(CkptWriter &w) const
     {
-        write(w, count_);
-        write(w, halfDone_);
+        putU64(w, count_);
+        putU64(w, halfDone_);
     }
 
     void
@@ -27,7 +27,7 @@ class Widget
     }
 
   private:
-    static void write(CkptWriter &w, std::uint64_t v);
+    static void putU64(CkptWriter &w, std::uint64_t v);
     static std::uint64_t readU64(CkptReader &r);
 
     std::uint64_t count_ = 0;

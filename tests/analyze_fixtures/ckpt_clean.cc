@@ -17,7 +17,7 @@ class Gadget
     void
     saveState(CkptWriter &w) const
     {
-        write(w, count_);
+        putU64(w, count_);
         saveExtras(w);
     }
 
@@ -34,7 +34,7 @@ class Gadget
     void
     saveExtras(CkptWriter &w) const
     {
-        write(w, extra_);
+        putU64(w, extra_);
     }
 
     void
@@ -43,7 +43,7 @@ class Gadget
         extra_ = readU64(r);
     }
 
-    static void write(CkptWriter &w, std::uint64_t v);
+    static void putU64(CkptWriter &w, std::uint64_t v);
     static std::uint64_t readU64(CkptReader &r);
 
     std::uint64_t count_ = 0;

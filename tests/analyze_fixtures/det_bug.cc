@@ -1,13 +1,20 @@
 // mc_analyze mutation fixture: determinism violations — unordered
-// iteration feeding an ordered sink, libc entropy, a wall-clock
-// read, and a StatsRegistry bypass.
+// iteration feeding an ordered sink, libc entropy, wall-clock reads
+// (direct and through aliases), and a StatsRegistry bypass.
 
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <unordered_map>
 
 namespace fixture {
+
+// A namespace-scope clock alias: naming the clock is the read.
+using WallClock = std::chrono::steady_clock;
+
+// Entropy in a namespace-scope initializer, outside any function.
+static const int kJ = std::rand();
 
 void
 dumpStats()
@@ -26,6 +33,16 @@ dumpStats()
     auto t0 = std::chrono::steady_clock::now();
     (void)jitter;
     (void)t0;
+}
+
+std::int64_t
+sampleWall()
+{
+    auto a = WallClock::now();
+    // A function-local alias.
+    using C = std::chrono::system_clock;
+    auto b = C::now();
+    return (b.time_since_epoch() - a.time_since_epoch()).count() + kJ;
 }
 
 } // namespace fixture

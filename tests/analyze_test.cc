@@ -4,7 +4,7 @@
  * analyzer) driven through python3, mirroring the mc_benchdiff
  * harness idiom in perf_test.cc.
  *
- * Every pass gets a mutation-catching pair: a seeded-bug fixture
+ * Every rule gets a mutation-catching pair: a seeded-bug fixture
  * the analyzer MUST flag and a clean fixture it must stay silent
  * on — so a regression that blinds a pass fails these tests, not
  * just the lint run it was supposed to protect. The allowlist,
@@ -23,6 +23,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 namespace {
 
@@ -158,6 +159,13 @@ TEST(Analyze, DeterminismFixtures)
     EXPECT_NE(bug.output.find("rand()"), std::string::npos);
     EXPECT_NE(bug.output.find("[wall-clock]"), std::string::npos);
     EXPECT_NE(bug.output.find("[stats-bypass]"), std::string::npos);
+    // Clock aliases at namespace and function scope, and entropy in
+    // a namespace-scope initializer.
+    EXPECT_NE(bug.output.find("(site: <file>:steady_clock)"),
+              std::string::npos);
+    EXPECT_NE(bug.output.find("(site: sampleWall:system_clock)"),
+              std::string::npos);
+    EXPECT_NE(bug.output.find("(site: kJ:rand)"), std::string::npos);
 
     const RunResult clean = runFixture("det_clean.cc", "");
     EXPECT_EQ(clean.exit, 0) << clean.output;
@@ -177,6 +185,65 @@ TEST(Analyze, ConcurrencyFixtures)
 
     const RunResult clean = runFixture("conc_clean.cc", "");
     EXPECT_EQ(clean.exit, 0) << clean.output;
+}
+
+TEST(Analyze, ConventionsFixtures)
+{
+    if (!havePython())
+        GTEST_SKIP() << "python3 not available";
+    // Each structural rule: a seeded-bug fixture and the sites it
+    // must report. Fixtures under src/ stand in for the same path in
+    // the real tree, which is how the path-dependent rules are
+    // exercised.
+    const struct
+    {
+        const char *fixture;
+        const char *check;
+        std::vector<std::string> sites;
+    } bugs[] = {
+        {"globals_bug.cc",
+         "[globals]",
+         {"gRefsSeen", "sLastEpoch", "gHistogram", "gAfterCtor"}},
+        {"write_bug.cc",
+         "[atomic-write]",
+         {"dumpReport:fopen", "dumpReport:ofstream"}},
+        {"publish_bug.cc",
+         "[manifest-write]",
+         {"publish:rename", "publish:link"}},
+        {"vfsio_bug.cc",
+         "[vfs-io]",
+         {"persist:mkdir", "persist:open", "persist:write",
+          "persist:fsync", "persist:unlink"}},
+        {"src/conv/include_bug.cc",
+         "[includes]",
+         {"bits/stdc++.h", "resolve:guard_clean.hh"}},
+        {"src/conv/guard_bug.hh",
+         "[includes]",
+         {"guard"}},
+        {"src/conv/own_bug.cc", "[includes]", {"own-header"}},
+    };
+    for (const auto &b : bugs) {
+        const RunResult r = runFixture(b.fixture, "");
+        EXPECT_EQ(r.exit, 1) << b.fixture << "\n" << r.output;
+        EXPECT_NE(r.output.find(b.check), std::string::npos)
+            << b.fixture << "\n" << r.output;
+        for (const std::string &site : b.sites)
+            EXPECT_NE(r.output.find("(site: " + site + ")"),
+                      std::string::npos)
+                << b.fixture << " missing " << site << "\n"
+                << r.output;
+    }
+    // The clean counterparts, including the sanctioned files: the
+    // raw calls that fail the bug fixtures pass at the seam's path.
+    for (const char *clean :
+         {"globals_clean.cc", "write_clean.cc", "publish_clean.cc",
+          "vfsio_clean.cc", "src/conv/include_clean.cc",
+          "src/conv/include_clean.hh", "src/conv/guard_clean.hh",
+          "src/conv/own_bug.hh", "src/io/vfs.cc", "src/perf/clock.cc",
+          "src/common/logging.cc"}) {
+        const RunResult r = runFixture(clean, "");
+        EXPECT_EQ(r.exit, 0) << clean << "\n" << r.output;
+    }
 }
 
 TEST(Analyze, AllowlistPermitsAuditedSites)
@@ -223,9 +290,13 @@ TEST(Analyze, CacheHitsAndContentInvalidation)
     // Start from nothing: a leftover cache dir would make the
     // "cold" run hit (same content, same hash key).
     std::filesystem::remove_all(cache);
+    // wrap-safety only: the probe's project include does not
+    // resolve under the temp root, and the cache is per file, not
+    // per pass.
     const std::string args = "--repo-root '" +
                              ::testing::TempDir() +
-                             "' --fixture-mode --allowlist "
+                             "' --fixture-mode --checks wrap-safety "
+                             "--allowlist "
                              "/dev/null --cache-dir '" +
                              cache + "' cache_probe.cc";
 

@@ -1,13 +1,15 @@
 #!/bin/sh
-# Static-analysis CI leg: mc_lint (determinism/convention linter),
-# clang-tidy over the compilation database, cppcheck, and a fast
-# model-check of the reconfiguration engine. Fails on any finding.
+# Static-analysis CI leg: mc_analyze (the repo's source analyzer:
+# wrap-safety, serialization, determinism, concurrency and the
+# source conventions), clang-tidy over the compilation database,
+# cppcheck, and a fast model-check of the reconfiguration engine.
+# Fails on any finding.
 #
 # Run from the repo root: tools/ci_static_analysis.sh [build-dir]
 #
 # clang-tidy and cppcheck are skipped with a notice when the binary
 # is not installed (local developer machines); CI installs both, and
-# mc_lint + the model check always run, so the leg never silently
+# mc_analyze + the model check always run, so the leg never silently
 # passes with zero coverage.
 set -eu
 
@@ -15,36 +17,39 @@ builddir="${1:-build-analysis}"
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 cd "$repo_root"
 
-echo "== mc_analyze: AST-level semantic analyzer =="
+echo "== mc_analyze: source analyzer =="
 # Whole-tree run must be clean. The parse cache lives under
 # .cache/mc_analyze (content-hash keyed, safe to persist across CI
-# runs); --write-coverage records which files were resolved at
-# call-expression level so mc_lint can stand down its overlapping
-# regexes for exactly those files.
-coverage="$(mktemp)"
-python3 tools/mc_analyze --write-coverage "$coverage"
+# runs).
+python3 tools/mc_analyze
 
 echo "== mc_analyze: mutation fixtures must be caught =="
-# One seeded-bug fixture per pass. A pass that goes blind makes its
+# One seeded-bug fixture per rule. A rule that goes blind makes its
 # fixture exit 0 and fails this leg -- the analyzer is not allowed
-# to silently pass with zero coverage.
-for fix in wrap_bug ckpt_bug det_bug conc_bug; do
+# to silently pass with zero coverage. Fixtures under src/ stand in
+# for the same path in the tree (guard names, own header first,
+# sanctioned files).
+for fix in wrap_bug.cc ckpt_bug.cc det_bug.cc conc_bug.cc \
+           globals_bug.cc write_bug.cc publish_bug.cc vfsio_bug.cc \
+           src/conv/include_bug.cc src/conv/guard_bug.hh \
+           src/conv/own_bug.cc; do
     if python3 tools/mc_analyze --fixture-mode --cache-dir '' \
         --allowlist /dev/null \
-        "tests/analyze_fixtures/$fix.cc" >/dev/null 2>&1; then
+        "tests/analyze_fixtures/$fix" >/dev/null 2>&1; then
         echo "FAIL: planted bug fixture '$fix' was not detected" >&2
         exit 1
     fi
 done
-for fix in wrap_clean ckpt_clean det_clean conc_clean; do
+for fix in wrap_clean.cc ckpt_clean.cc det_clean.cc conc_clean.cc \
+           globals_clean.cc write_clean.cc publish_clean.cc \
+           vfsio_clean.cc src/conv/include_clean.cc \
+           src/conv/include_clean.hh src/conv/guard_clean.hh \
+           src/conv/own_bug.hh src/io/vfs.cc src/perf/clock.cc \
+           src/common/logging.cc; do
     python3 tools/mc_analyze --fixture-mode --cache-dir '' \
         --allowlist /dev/null -q \
-        "tests/analyze_fixtures/$fix.cc"
+        "tests/analyze_fixtures/$fix"
 done
-
-echo "== mc_lint: determinism & convention linter =="
-python3 tools/mc_lint.py --ast-coverage "$coverage"
-rm -f "$coverage"
 
 # The analyzers and the model checker consume a real build:
 # clang-tidy needs compile_commands.json (exported unconditionally

@@ -1,7 +1,7 @@
-"""mc_analyze -- AST-level semantic analyzer for MorphCache.
+"""mc_analyze -- the source analyzer for MorphCache.
 
-Four whole-repo passes over a per-file semantic model extracted from
-C++ sources (DESIGN.md section 14):
+Five whole-repo passes over a per-file semantic model and token
+stream extracted from C++ sources (DESIGN.md section 14):
 
 ``wrap-safety``
     Unsigned subtraction / ``-=`` / decrement on cycle/byte/count
@@ -18,14 +18,19 @@ C++ sources (DESIGN.md section 14):
 ``determinism``
     No iteration over ``unordered_map``/``unordered_set`` in
     simulation code (ordered sinks -- stats dumps, trace emits,
-    manifest appends -- must never observe hash order), and the
-    entropy/wall-clock/stdout bans resolved at call-expression
-    level instead of by regex.
+    manifest appends -- must never observe hash order), no entropy,
+    libc time or stdout calls in ``src/``, and no wall clock named
+    outside its sanctioned files anywhere.
 
 ``concurrency``
     Mutable state shared with thread entry points in ``src/runner``
     must be ``std::atomic``, written under a visible lock guard, or
     confined to the pre-fan-out phase (allowlisted as such).
+
+``conventions``
+    The structural rules for ``src/``: no mutable globals, file
+    writes and publication only through the Vfs seam, and include
+    hygiene (guards, own header first, resolving paths).
 
 The model comes from one of two frontends: ``clang`` (driven by
 ``compile_commands.json`` and ``clang -Xclang -ast-dump=json``) when

@@ -3,7 +3,7 @@
     python3 tools/mc_analyze [paths...] [options]
 
 With no paths, analyzes src/, tools/, bench/. Exit codes: 0 clean,
-1 findings, 2 internal error (same contract as mc_lint).
+1 findings, 2 internal error.
 """
 
 from __future__ import annotations
@@ -47,19 +47,18 @@ def collect_files(repo_root: str, paths: list[str]) -> list[str]:
 
 
 def make_scope(fixture_mode: bool):
-    """(path, kind) -> bool. Which pass applies where:
+    """(path, kind) -> bool. Which rule applies where:
 
-      wrap          src/ tools/ bench/  (everything scanned)
-      serialization everything scanned
-      det-src       src/ only (unordered iteration, entropy,
-                    stats-bypass)
-      det-all       everything scanned (wall-clock)
+      src           src/ only (conventions, unordered iteration,
+                    entropy, stats-bypass)
       concurrency   src/runner/ only
+      any other     everything scanned (wrap-safety,
+                    serialization, wall-clock)
     """
     def scope(path: str, kind: str) -> bool:
         if fixture_mode:
             return True
-        if kind == "det-src":
+        if kind == "src":
             return path.startswith("src/")
         if kind == "concurrency":
             return path.startswith("src/runner/")
@@ -108,9 +107,6 @@ def main(argv: list[str]) -> int:
     ap.add_argument("--allowlist", default=None,
                     help="allowlist file (default: "
                          "tools/mc_analyze_allow.txt when present)")
-    ap.add_argument("--write-coverage", default=None, metavar="FILE",
-                    help="write the analyzed-file list for "
-                         "mc_lint --ast-coverage delegation")
     ap.add_argument("--fixture-mode", action="store_true",
                     help="apply every pass to every file "
                          "regardless of path (test fixtures)")
@@ -154,7 +150,7 @@ def main(argv: list[str]) -> int:
     files = collect_files(repo_root, args.paths)
     models = [parse_one(repo_root, rel, args.frontend, cache,
                         clang, flags) for rel in files]
-    index = Index(models)
+    index = Index(models, repo_root)
     scope = make_scope(args.fixture_mode)
 
     allow_path = args.allowlist
@@ -177,11 +173,6 @@ def main(argv: list[str]) -> int:
     findings = [f for f in findings if not allow.permits(f)]
     findings.extend(allow.residual_findings())
     findings.sort(key=lambda f: (f.path, f.line, f.check))
-
-    if args.write_coverage:
-        with open(args.write_coverage, "w", encoding="utf-8") as f:
-            for rel in files:
-                f.write(rel + "\n")
 
     for f in findings:
         print(f)

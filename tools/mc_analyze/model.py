@@ -3,7 +3,7 @@
 One ``FileModel`` per source file, produced by either frontend
 (``uparse`` or ``clang``) and serialized to JSON for the cache. The
 model is deliberately a *projection* of the AST: only the facts the
-four passes consume are kept, so both frontends can realistically
+passes consume are kept, so both frontends can realistically
 produce identical models and the cache stays small.
 """
 

@@ -12,12 +12,19 @@ Resolution is best-effort: an unresolvable step yields "" and the
 passes treat unknown types conservatively (each pass documents in
 which direction it stays quiet). The clang frontend short-circuits
 all of this by recording precise types in the model.
+
+The lexer-level rules (wall-clock mentions, the source conventions)
+read ``Index.source``: each file's raw text and token stream, read
+once per run and never cached, so their findings cannot depend on
+the model cache.
 """
 
 from __future__ import annotations
 
+import os
 import re
 
+from lexer import IDENT, PUNCT, STR, LexResult, Token, lex
 from model import ClassModel, FileModel, FuncModel
 
 _UNSIGNED = re.compile(
@@ -38,8 +45,10 @@ def strip_cv_ref(t: str) -> str:
 
 
 class Index:
-    def __init__(self, models: list[FileModel]):
+    def __init__(self, models: list[FileModel], repo_root: str):
         self.models = models
+        self.repo_root = repo_root
+        self._sources: dict[str, tuple[str, LexResult]] = {}
         self.classes: dict[str, ClassModel] = {}
         self.class_path: dict[str, str] = {}
         #: (cls or "", name) -> [FuncModel]; name-only fallback map.
@@ -57,6 +66,14 @@ class Index:
                 self.funcs_by_name.setdefault(fn.name, []).append(fn)
                 self.func_path[id(fn)] = fm.path
             self.aliases.update(fm.aliases)
+
+    def source(self, path: str) -> tuple[str, LexResult]:
+        """(raw text, lexed tokens) of a scanned file."""
+        if path not in self._sources:
+            with open(os.path.join(self.repo_root, path), "rb") as f:
+                raw = f.read().decode("utf-8", errors="replace")
+            self._sources[path] = (raw, lex(raw))
+        return self._sources[path]
 
     def path_of(self, fn: FuncModel) -> str:
         return self.func_path.get(id(fn), "")
@@ -205,3 +222,109 @@ class Index:
         chain = re.sub(r"^this->", "", chain)
         m = re.match(r"[A-Za-z_][A-Za-z0-9_]*", chain)
         return m.group(0) if m else ""
+
+
+def enclosing(fm: FileModel, line: int) -> str:
+    """Site prefix for a token: the innermost function whose body
+    spans `line` (lambdas as ``<lambda>``), else ``<file>``."""
+    best = None
+    for fn in fm.functions:
+        if fn.line <= line <= fn.end_line and \
+                (best is None or fn.line >= best.line):
+            best = fn
+    if best is None:
+        return "<file>"
+    return re.sub(r"<lambda:\d+>", "<lambda>", best.name)
+
+
+def call_sites(tokens: list[Token], names: set[str]):
+    """(index, token) of every ``name(`` with ``name`` in `names`
+    that is not a method call (``x.name(``, ``p->name(``)."""
+    for i, tok in enumerate(tokens):
+        if tok.kind != IDENT or tok.text not in names or \
+                i + 1 >= len(tokens) or tokens[i + 1].text != "(":
+            continue
+        if i and tokens[i - 1].text in (".", "->"):
+            continue
+        yield i, tok
+
+
+def _brace_kind(stmt: list[Token]) -> str:
+    """What a ``{`` at namespace scope opens, judged by the
+    statement that precedes it."""
+    texts = [t.text for t in stmt if t.kind != STR]
+    if "namespace" in texts or \
+            (len(stmt) == 2 and texts == ["extern"]):  # extern "C" {
+        return "ns"
+    if "(" not in texts:
+        return "type" if {"class", "struct", "union",
+                          "enum"} & set(texts) else "init"
+    if ":" in texts[texts.index("("):] and \
+            (stmt[-1].kind == IDENT or stmt[-1].text == ">"):
+        return "member-init"  # Ctor() : a_{1}, b_{2} { ... }
+    return "func"
+
+
+def namespace_statements(tokens: list[Token]) -> list[list[Token]]:
+    """Namespace-scope statements as token lists, brace
+    initializers included; class and function bodies are skipped."""
+    stmts: list[list[Token]] = []
+    stack: list[str] = []
+    cur: list[Token] = []
+    for tok in tokens:
+        p = tok.text if tok.kind == PUNCT else ""
+        collecting = all(k in ("ns", "init") for k in stack)
+        if p == "{":
+            if not collecting:
+                kind = "skip"
+            elif stack and stack[-1] == "init":
+                kind = "init"
+            else:
+                kind = _brace_kind(cur)
+            stack.append(kind)
+            if kind == "init":
+                cur.append(tok)
+            elif kind != "member-init":
+                cur = []
+        elif p == "}":
+            kind = stack.pop() if stack else "ns"
+            if kind in ("init", "member-init"):
+                cur.append(tok)
+            elif kind != "skip":
+                cur = []
+        elif not collecting:
+            continue
+        elif p == ";" and (not stack or stack[-1] == "ns"):
+            if cur:
+                stmts.append(cur)
+            cur = []
+        else:
+            cur.append(tok)
+    return stmts
+
+
+_NOT_VARIABLES = {"typedef", "using", "class", "struct", "union",
+                  "enum", "namespace", "template", "extern", "friend",
+                  "static_assert"}
+
+
+def namespace_variable(stmt: list[Token]) \
+        -> tuple[list[Token], list[Token]] | None:
+    """(declarator head, initializer) when a namespace-scope
+    statement defines a variable; the head ends in its name.
+    Functions, other declarations, paren-initialised variables and
+    out-of-class member definitions (``T C::m = ...``) are not."""
+    if stmt[0].kind != IDENT or stmt[0].text in _NOT_VARIABLES:
+        return None
+    split = next((i for i, t in enumerate(stmt)
+                  if t.kind == PUNCT and t.text in ("=", "{")),
+                 len(stmt))
+    head = stmt[:split]
+    while head and head[-1].text == "]":  # array extents
+        head = head[:max(i for i, t in enumerate(head)
+                         if t.text == "[")]
+    if len(head) < 2 or head[-1].kind != IDENT or \
+            head[-2].text == "::" or \
+            any(t.text == "(" for t in head):
+        return None
+    return head, stmt[split:]

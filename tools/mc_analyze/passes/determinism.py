@@ -1,6 +1,6 @@
 """Pass 3: determinism at AST level.
 
-Two layers:
+Three layers:
 
   * **Unordered iteration**: a range-for (or explicit .begin()
     loop) over ``unordered_map``/``unordered_set`` state inside
@@ -11,33 +11,33 @@ Two layers:
     unconditionally in ``src/`` — an order-insensitive reduction is
     allowlisted with its justification.
 
-  * **Entropy / wall-clock / stdout bans** upgraded from mc_lint's
-    regexes to call-expression resolution: a call to ``rand()``,
-    ``time()``, ``clock_gettime()`` etc. is flagged as a *call*, so
-    accessor methods named ``time()`` or comments no longer need
-    pattern gymnastics. The sanctioned-site sets are imported from
-    mc_lint — one source of truth for both layers of tooling.
+  * **Entropy / stdout bans** in ``src/`` at call-expression level:
+    a call to ``rand()``, ``time()``, ``printf()`` etc. is flagged
+    as a *call* — in a function body or a namespace-scope
+    initializer — so accessor methods named ``time()`` and comments
+    never match. ``std::random_device`` is flagged wherever it is
+    named.
+
+  * **Wall clock** in every scanned file: any mention of
+    ``steady_clock``/``system_clock``/``high_resolution_clock`` and
+    any call to ``gettimeofday``/``clock_gettime``/``timespec_get``,
+    at any scope, outside the sanctioned clock sites. Naming the
+    clock is the violation, so an alias (``using C =
+    std::chrono::steady_clock;``) is caught where it is declared.
 """
 
 from __future__ import annotations
 
-import os
 import re
-import sys
 
+from lexer import IDENT
 from model import Finding
-from passes.common import Index, strip_cv_ref
-
-_TOOLS_DIR = os.path.dirname(os.path.dirname(
-    os.path.dirname(os.path.abspath(__file__))))
-if _TOOLS_DIR not in sys.path:
-    sys.path.insert(0, _TOOLS_DIR)
-
-import mc_lint  # noqa: E402  (sanctioned-site sets)
+from passes.common import (Index, call_sites, enclosing,
+                           namespace_statements, namespace_variable,
+                           strip_cv_ref)
 
 _UNORDERED = re.compile(r"\bunordered_(map|set|multimap|multiset)\b")
-_CLOCKS = re.compile(
-    r"\b(steady_clock|system_clock|high_resolution_clock)\b")
+_CLOCKS = {"steady_clock", "system_clock", "high_resolution_clock"}
 _CLOCK_CALLS = {"gettimeofday", "clock_gettime", "timespec_get"}
 _ENTROPY_CALLS = {"rand", "srand"}
 _TIME_CALLS = {"time", "clock"}
@@ -61,18 +61,21 @@ def _receiverless(callee: str) -> str | None:
 def run_determinism(index: Index, scope) -> list[Finding]:
     findings: list[Finding] = []
     for fm in index.models:
-        in_src = scope(fm.path, "det-src")
-        everywhere = scope(fm.path, "det-all")
-        if not in_src and not everywhere:
-            continue
-        wall_ok = fm.path in mc_lint.WALL_CLOCK_ALLOW
-        for fn in fm.functions:
-            if in_src:
+        tokens = index.source(fm.path)[1].tokens
+        if scope(fm.path, "src"):
+            for fn in fm.functions:
                 _unordered_loops(index, fm.path, fn, findings)
-                _entropy(index, fm.path, fn, findings)
+                _entropy(fm.path, fn.name, fn.calls, findings)
                 _stats_bypass(fm.path, fn, findings)
-            if everywhere and not wall_ok:
-                _wall_clock(fm.path, fn, findings)
+            _namespace_entropy(fm.path, tokens, findings)
+            for t in tokens:
+                if t.kind == IDENT and t.text == "random_device":
+                    findings.append(Finding(
+                        fm.path, t.line, "determinism",
+                        "std::random_device: nondeterministic entropy "
+                        "source in simulation code",
+                        f"{enclosing(fm, t.line)}:random_device"))
+        _wall_clock(fm, tokens, findings)
     return findings
 
 
@@ -93,10 +96,8 @@ def _unordered_loops(index, path, fn, findings):
             f"{fn.name}:{_norm(lp.expr)}"))
 
 
-def _entropy(index, path, fn, findings):
-    if path in mc_lint.DETERMINISM_ALLOW:
-        return
-    for call in fn.calls:
+def _entropy(path, site, calls, findings):
+    for call in calls:
         callee, line = call[0], call[1]
         name = _receiverless(callee)
         if name in _ENTROPY_CALLS:
@@ -104,46 +105,49 @@ def _entropy(index, path, fn, findings):
                 path, line, "determinism",
                 f"call to {name}(): simulation code derives values "
                 "from seeds/cycles (DESIGN.md section 9)",
-                f"{fn.name}:{name}"))
+                f"{site}:{name}"))
         elif name in _TIME_CALLS:
             findings.append(Finding(
                 path, line, "determinism",
                 f"call to libc {name}(): wall time must not feed "
                 "simulation state (DESIGN.md section 9)",
-                f"{fn.name}:{name}"))
-    for pool in (fn.locals, fn.params):
-        for _, t in pool:
-            if "random_device" in t:
-                findings.append(Finding(
-                    path, fn.line, "determinism",
-                    "std::random_device: nondeterministic entropy "
-                    "source in simulation code",
-                    f"{fn.name}:random_device"))
+                f"{site}:{name}"))
 
 
-def _wall_clock(path, fn, findings):
-    for call in fn.calls:
-        callee, line = call[0], call[1]
-        name = _receiverless(callee)
-        if name in _CLOCK_CALLS or (name and _CLOCKS.search(callee)):
+def _namespace_entropy(path, tokens, findings):
+    """Entropy in namespace-scope initializers, which run before
+    main() and sit in no function body."""
+    for stmt in namespace_statements(tokens):
+        var = namespace_variable(stmt)
+        if not var:
+            continue
+        init = var[1]
+        calls = []
+        for i, t in call_sites(init, _ENTROPY_CALLS | _TIME_CALLS):
+            qual = init[i - 2].text + "::" \
+                if i >= 2 and init[i - 1].text == "::" else ""
+            calls.append((qual + t.text, t.line))
+        _entropy(path, var[0][-1].text, calls, findings)
+
+
+def _wall_clock(fm, tokens, findings):
+    seen = set()
+    for i, t in enumerate(tokens):
+        if t.kind != IDENT or t.line in seen:
+            continue
+        if t.text in _CLOCKS or (t.text in _CLOCK_CALLS and
+                                 i + 1 < len(tokens) and
+                                 tokens[i + 1].text == "("):
+            seen.add(t.line)
             findings.append(Finding(
-                path, line, "wall-clock",
-                f"wall-clock read '{callee}' outside the sanctioned "
+                fm.path, t.line, "wall-clock",
+                f"wall-clock '{t.text}' outside the sanctioned "
                 "clock sites; call perfNowNs()/unixNowSec() "
                 "(src/perf/clock.hh)",
-                f"{fn.name}:{_norm(callee)}"))
-    for _, t in fn.locals:
-        if _CLOCKS.search(t):
-            findings.append(Finding(
-                path, fn.line, "wall-clock",
-                f"wall-clock typed local ({t}) outside the "
-                "sanctioned clock sites (src/perf/clock.hh)",
-                f"{fn.name}:{_norm(t)}"))
+                f"{enclosing(fm, t.line)}:{t.text}"))
 
 
 def _stats_bypass(path, fn, findings):
-    if path in mc_lint.STATS_BYPASS_ALLOW:
-        return
     for call in fn.calls:
         callee, line = call[0], call[1]
         arg0 = call[2] if len(call) > 2 else ""

@@ -1,7 +1,7 @@
 """Built-in C++ frontend: token stream -> semantic model.
 
 A declaration/expression extractor, not a full parser: it recognizes
-exactly the shapes the four passes consume -- namespaces, class
+exactly the shapes the passes consume -- namespaces, class
 bodies with member declarations and ``// ckpt:`` annotations,
 function definitions (in-class, out-of-line, lambdas), local/param
 declarations with types, call expressions, subtraction/decrement
