@@ -47,8 +47,8 @@ setEnabled(bool on)
     // Plug the meter into the phase profiler the first time metering
     // turns on (idempotent; avoids static-initialization ordering).
     // From then on every ScopedPhaseTimer interval attributes the
-    // heap traffic it observed to its phase, which is what lets the
-    // bench assert "the reference-processing loop allocated nothing"
+    // heap traffic it observed to its phase, which is what lets a
+    // test assert "the reference-processing loop allocated nothing"
     // rather than inferring it from whole-trial totals.
     if (on) {
         Profiler::global().setAllocProbe(+[]() {

@@ -4,10 +4,11 @@
  * simulator hot path.
  *
  * When metering is enabled, every global `operator new`/`delete`
- * tallies bytes and call counts into relaxed atomics; mc_bench
- * wraps each trial in begin/snapshot pairs to report allocation
- * traffic per benchmark cell, making "allocation-free inner loop"
- * (ROADMAP item 1) a measurable claim instead of a hope.
+ * tallies bytes and call counts into relaxed atomics; the profiler
+ * attributes each phase's share (see setEnabled), and
+ * AllocMeter.RefProcessingIsAllocationFreeForAllSchemes in
+ * tests/perf_test.cc gates the reference loop at zero, making
+ * "allocation-free inner loop" a checked claim instead of a hope.
  *
  * Cost model:
  *  - Not linked: binaries that never reference AllocMeter keep the
@@ -21,7 +22,8 @@
  *
  * Metering is observational only: it never changes what is
  * allocated, so simulated stats are byte-identical with it on or
- * off (enforced by AllocMeterParity in tests/perf_test.cc).
+ * off (enforced by AllocMeter.MeteringChangesNoSimulatedByte in
+ * tests/perf_test.cc).
  */
 
 #ifndef MORPHCACHE_PERF_ALLOCMETER_HH

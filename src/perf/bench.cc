@@ -1,161 +1,8 @@
 #include "perf/bench.hh"
 
-#include <cstdio>
 #include <thread>
 
-#include "common/error.hh"
-#include "perf/clock.hh"
-#include "runner/run_factory.hh"
-#include "sim/simulation.hh"
-#include "stats/registry.hh"
-
 namespace morphcache {
-
-std::string
-BenchCell::id() const
-{
-    char buf[160];
-    std::snprintf(buf, sizeof(buf), "%s/%s/c%u/e%u/r%llu/s%llu",
-                  spec.scheme.c_str(), spec.workload.c_str(),
-                  spec.cores, spec.epochs,
-                  static_cast<unsigned long long>(spec.refs),
-                  static_cast<unsigned long long>(spec.seed));
-    return buf;
-}
-
-namespace {
-
-BenchCell
-pinnedCell(const char *scheme, unsigned mix)
-{
-    // The pinned cell geometry. Changing any of these constants
-    // breaks comparability of the BENCH trajectory, so they change
-    // only with a schema bump and a regenerated baseline.
-    BenchCell cell;
-    cell.spec.scheme = scheme;
-    char wl[24];
-    std::snprintf(wl, sizeof(wl), "mix:%u", mix);
-    cell.spec.workload = wl;
-    cell.spec.cores = 8;
-    cell.spec.epochs = 6;
-    cell.spec.refs = 6000;
-    cell.spec.seed = 42;
-    return cell;
-}
-
-} // namespace
-
-std::vector<BenchCell>
-benchSuite(const std::string &name)
-{
-    std::vector<BenchCell> cells;
-    if (name == "smoke") {
-        // Strict subset of "default" — identical ids, so a smoke
-        // BENCH file diffs against the committed default baseline.
-        for (const char *scheme : {"morph", "static:4:2:1"})
-            for (unsigned mix : {1u, 8u})
-                cells.push_back(pinnedCell(scheme, mix));
-        return cells;
-    }
-    if (name == "default") {
-        for (const char *scheme : {"morph", "static:4:2:1", "ucp"})
-            for (unsigned mix : {1u, 4u, 8u, 12u})
-                cells.push_back(pinnedCell(scheme, mix));
-        return cells;
-    }
-    throw ConfigError("unknown bench suite '" + name +
-                      "' (expected smoke or default)");
-}
-
-BenchCellResult
-runBenchCell(const BenchCell &cell, const BenchOptions &opts)
-{
-    BenchCellResult result;
-    result.cell = cell;
-    result.configHash = configHashHex(describe(cell.spec));
-
-    Profiler &profiler = Profiler::global();
-    const bool prof_was_enabled = profiler.enabled();
-    const bool meter_was_enabled = AllocMeter::enabled();
-
-    std::size_t trial_index = 0;
-    auto one_trial = [&]() -> double {
-        // Fresh objects per trial: a trial must never benefit from
-        // a predecessor's warmed allocator pools beyond what the
-        // discarded warmup trials already grant uniformly.
-        BuiltRun built = buildRun(cell.spec);
-        Simulation sim(*built.system, *built.workload, built.sim);
-
-        const std::uint64_t total_refs =
-            static_cast<std::uint64_t>(built.sim.epochs +
-                                       built.sim.warmupEpochs) *
-            built.sim.refsPerEpochPerCore *
-            built.workload->numCores();
-        result.refsPerTrial = total_refs;
-
-        const bool recorded = trial_index >= opts.warmup;
-        ++trial_index;
-
-        // Meter only the simulation loop: construction above is
-        // setup cost, not the hot path the ROADMAP war targets.
-        profiler.setEnabled(true);
-        const ProfSnapshot prof0 = profiler.snapshot();
-        AllocMeter::setEnabled(true);
-        const AllocSnapshot alloc0 = AllocMeter::snapshot();
-
-        const std::uint64_t t0 = perfNowNs();
-        if (opts.slowdownUsPerTrial > 0) {
-            // Synthetic regression for end-to-end gate tests: spin
-            // inside the timed region without touching the sim.
-            const std::uint64_t until =
-                t0 + opts.slowdownUsPerTrial * 1000ULL;
-            while (perfNowNs() < until) {
-            }
-        }
-        // The bare epoch loop, not run(): finish()'s RunResult
-        // aggregation would allocate inside the metered window and
-        // free outside it, leaving a phantom alloc/free imbalance in
-        // every trial's delta. The loop itself is the measurement.
-        while (!sim.done())
-            sim.stepEpoch();
-        const std::uint64_t t1 = perfNowNs();
-
-        const AllocSnapshot alloc1 = AllocMeter::snapshot();
-        AllocMeter::setEnabled(meter_was_enabled);
-        const ProfSnapshot prof1 = profiler.snapshot();
-        profiler.setEnabled(prof_was_enabled);
-
-        if (recorded) {
-            const ProfSnapshot dprof = profDelta(prof0, prof1);
-            for (std::size_t i = 0;
-                 i < static_cast<std::size_t>(ProfPhase::NumPhases);
-                 ++i) {
-                result.prof.phases[i].ns += dprof.phases[i].ns;
-                result.prof.phases[i].calls += dprof.phases[i].calls;
-                result.prof.phases[i].allocBytes +=
-                    dprof.phases[i].allocBytes;
-                result.prof.phases[i].allocCalls +=
-                    dprof.phases[i].allocCalls;
-                result.prof.phases[i].allocFrees +=
-                    dprof.phases[i].allocFrees;
-            }
-            const AllocSnapshot dalloc = allocDelta(alloc0, alloc1);
-            result.alloc.bytes += dalloc.bytes;
-            result.alloc.calls += dalloc.calls;
-            result.alloc.frees += dalloc.frees;
-        }
-
-        const double seconds =
-            static_cast<double>(t1 - t0) / 1e9;
-        return seconds > 0.0
-                   ? static_cast<double>(total_refs) / seconds
-                   : 0.0;
-    };
-
-    result.samples = runTrials(opts.warmup, opts.trials, one_trial);
-    result.refsPerSec = summarizeTrials(result.samples);
-    return result;
-}
 
 BenchEnv
 localBenchEnv()
@@ -168,145 +15,7 @@ localBenchEnv()
     env.buildType = "debug";
 #endif
     env.hostThreads = std::thread::hardware_concurrency();
-    env.unixTime = unixNowSec();
     return env;
-}
-
-namespace {
-
-void
-appendF64(std::string &out, double v)
-{
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    out += buf;
-}
-
-void
-appendU64(std::string &out, std::uint64_t v)
-{
-    out += std::to_string(v);
-}
-
-} // namespace
-
-std::string
-renderBenchJson(const std::string &suite, const BenchOptions &opts,
-                const BenchEnv &env,
-                const std::vector<BenchCellResult> &results)
-{
-    std::string out = "{\n";
-    out += "\"schema\":" + std::to_string(benchSchemaVersion) +
-           ",\n\"tool\":\"mc_bench\",\n";
-    out += "\"suite\":\"" + suite + "\",\n";
-
-    out += "\"env\":{\"gitSha\":\"" + env.gitSha +
-           "\",\"compiler\":\"" + env.compiler +
-           "\",\"buildType\":\"" + env.buildType +
-           "\",\"buildJobs\":" + std::to_string(env.buildJobs) +
-           ",\"hostThreads\":" + std::to_string(env.hostThreads) +
-           ",\"unixTime\":";
-    appendF64(out, env.unixTime);
-    out += "},\n";
-
-    out += "\"protocol\":{\"warmup\":" +
-           std::to_string(opts.warmup) +
-           ",\"trials\":" + std::to_string(opts.trials) + "},\n";
-
-    out += "\"cells\":[\n";
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        const BenchCellResult &r = results[i];
-        out += "{\"id\":\"" + r.cell.id() + "\",\"scheme\":\"" +
-               r.cell.spec.scheme + "\",\"workload\":\"" +
-               r.cell.spec.workload + "\"";
-        out += ",\"cores\":" + std::to_string(r.cell.spec.cores);
-        out += ",\"epochs\":" + std::to_string(r.cell.spec.epochs);
-        out += ",\"refs\":";
-        appendU64(out, r.cell.spec.refs);
-        out += ",\"seed\":";
-        appendU64(out, r.cell.spec.seed);
-        out += ",\"configHash\":\"" + r.configHash + "\"";
-        out += ",\"refsPerTrial\":";
-        appendU64(out, r.refsPerTrial);
-        out += ",\"medianRefsPerSec\":";
-        appendF64(out, r.refsPerSec.median);
-        out += ",\"madRefsPerSec\":";
-        appendF64(out, r.refsPerSec.mad);
-        out += ",\"samples\":[";
-        for (std::size_t s = 0; s < r.samples.size(); ++s) {
-            if (s)
-                out += ',';
-            appendF64(out, r.samples[s]);
-        }
-        out += "]";
-        out += ",\"phases\":{";
-        for (std::size_t p = 0;
-             p < static_cast<std::size_t>(ProfPhase::NumPhases);
-             ++p) {
-            if (p)
-                out += ',';
-            out += std::string("\"") +
-                   profPhaseName(static_cast<ProfPhase>(p)) +
-                   "\":{\"ns\":";
-            appendU64(out, r.prof.phases[p].ns);
-            out += ",\"calls\":";
-            appendU64(out, r.prof.phases[p].calls);
-            out += ",\"allocBytes\":";
-            appendU64(out, r.prof.phases[p].allocBytes);
-            out += ",\"allocCalls\":";
-            appendU64(out, r.prof.phases[p].allocCalls);
-            out += ",\"allocFrees\":";
-            appendU64(out, r.prof.phases[p].allocFrees);
-            out += "}";
-        }
-        out += "}";
-        out += ",\"allocBytes\":";
-        appendU64(out, r.alloc.bytes);
-        out += ",\"allocCalls\":";
-        appendU64(out, r.alloc.calls);
-        out += ",\"allocFrees\":";
-        appendU64(out, r.alloc.frees);
-        out += "}";
-        out += (i + 1 < results.size()) ? ",\n" : "\n";
-    }
-    out += "]\n}\n";
-    return out;
-}
-
-std::string
-renderBenchTable(const std::vector<BenchCellResult> &results)
-{
-    std::string out =
-        "cell                               Mrefs/s     +-MAD  "
-        "refProc%  kB/trial  allocs/trial  loopAllocs\n";
-    char buf[200];
-    for (const BenchCellResult &r : results) {
-        const std::size_t trials =
-            r.samples.empty() ? 1 : r.samples.size();
-        std::uint64_t total_ns = 0;
-        for (const auto &phase : r.prof.phases)
-            total_ns += phase.ns;
-        const double ref_pct =
-            total_ns > 0
-                ? 100.0 *
-                      static_cast<double>(
-                          r.prof[ProfPhase::RefProcessing].ns) /
-                      static_cast<double>(total_ns)
-                : 0.0;
-        std::snprintf(
-            buf, sizeof(buf),
-            "%-32s %9.3f %9.3f %9.1f %9.1f %13.1f %11llu\n",
-            r.cell.id().c_str(), r.refsPerSec.median / 1e6,
-            r.refsPerSec.mad / 1e6, ref_pct,
-            static_cast<double>(r.alloc.bytes) /
-                (1024.0 * static_cast<double>(trials)),
-            static_cast<double>(r.alloc.calls) /
-                static_cast<double>(trials),
-            static_cast<unsigned long long>(
-                r.prof[ProfPhase::RefProcessing].allocCalls));
-        out += buf;
-    }
-    return out;
 }
 
 } // namespace morphcache

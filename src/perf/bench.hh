@@ -1,147 +1,30 @@
 /**
  * @file
- * mc_bench harness: the repo's refs/sec scoreboard.
- *
- * A benchmark cell is a pinned (scheme, mix, seed, cores, epochs,
- * refs) tuple; a suite is a fixed list of cells that never changes
- * meaning between PRs, so the BENCH_<n>.json trajectory committed
- * per PR is comparable commit to commit. Each cell runs
- * `warmup + trials` full simulations: warmup samples are discarded,
- * recorded samples are summarized as median + MAD refs/sec
- * (see perf/benchstat.hh for the protocol rationale), and each
- * recorded trial also contributes wall-time phase attribution
- * (Profiler::snapshot() deltas: refProcessing / epochDecision /
- * reconfigApply) and hot-path allocation telemetry
- * (perf/allocmeter.hh deltas around the simulation loop only —
- * construction is excluded).
- *
- * What is and isn't deterministic: simulated *stats* of every trial
- * are byte-identical run to run (the registry contract), so trials
- * vary only in wall time; refs/sec, phase ns, and nothing else in a
- * BENCH file is machine-independent. tools/mc_benchdiff.py compares
- * two BENCH files cell-by-cell and gates on median regression.
+ * Build stamp of the perfbench benchmark (perfbench/): which
+ * compiler and build type produced the measured binaries and how
+ * many hardware threads the measuring host has, so a result line
+ * says what it was measured with.
  */
 
 #ifndef MORPHCACHE_PERF_BENCH_HH
 #define MORPHCACHE_PERF_BENCH_HH
 
-#include <cstdint>
 #include <string>
-#include <vector>
-
-#include "ckpt/run_spec.hh"
-#include "perf/allocmeter.hh"
-#include "perf/benchstat.hh"
-#include "stats/profiler.hh"
 
 namespace morphcache {
 
-/**
- * Current BENCH_*.json schema version.
- *
- * Schema 2 (additive over 1): each entry of a cell's `phases` map
- * carries `allocBytes`/`allocCalls`/`allocFrees` — heap traffic
- * attributed to that phase across the recorded trials (the
- * profiler's alloc-probe deltas). `phases.refProcessing.allocCalls`
- * is the steady-state gate: the reference-processing inner loop is
- * contractually allocation-free, and tools/ci_bench_smoke.sh fails
- * if it ever reads nonzero. Cell-level allocBytes/allocCalls/
- * allocFrees keep their schema-1 meaning (whole simulation loop).
- */
-constexpr int benchSchemaVersion = 2;
-
-/** One pinned benchmark cell. */
-struct BenchCell
-{
-    /** Complete run description (workload carries the mix). */
-    RunSpec spec;
-
-    /**
-     * Stable cell identity: mc_benchdiff matches cells of two BENCH
-     * files on this string, so it encodes everything that changes
-     * the work done ("morph/mix:08/c8/e6/r6000/s42").
-     */
-    std::string id() const;
-};
-
-/**
- * A pinned suite by name:
- *  - "smoke":   subset of "default" (same cell parameters, so its
- *               ids compare against a committed default-suite BENCH
- *               file); sized for a CI smoke leg.
- *  - "default": the per-PR scoreboard suite behind BENCH_<n>.json.
- * Throws ConfigError on an unknown name.
- */
-std::vector<BenchCell> benchSuite(const std::string &name);
-
-/** Trial protocol knobs. */
-struct BenchOptions
-{
-    /** Discarded leading trials per cell. */
-    std::size_t warmup = 1;
-    /** Recorded trials per cell (median + MAD over these). */
-    std::size_t trials = 5;
-    /**
-     * Busy-loop microseconds injected per trial — a synthetic
-     * slowdown so regression detection can be exercised end-to-end
-     * (tools/ci_bench_smoke.sh) without patching simulator code.
-     */
-    std::uint64_t slowdownUsPerTrial = 0;
-};
-
-/** Everything measured for one cell. */
-struct BenchCellResult
-{
-    BenchCell cell;
-    /** configHashHex(describe(spec)) — provenance. */
-    std::string configHash;
-    /** References processed per trial (all cores, incl. sim warmup
-     * epochs — every reference the hot path actually handled). */
-    std::uint64_t refsPerTrial = 0;
-    /** Recorded refs/sec samples, in run order. */
-    std::vector<double> samples;
-    TrialSummary refsPerSec;
-    /** Phase attribution summed over recorded trials. */
-    ProfSnapshot prof;
-    /** Allocation traffic of the simulation loops (recorded trials
-     * only; construction excluded). */
-    AllocSnapshot alloc;
-};
-
-/** Run one cell under the trial protocol. */
-BenchCellResult runBenchCell(const BenchCell &cell,
-                             const BenchOptions &opts);
-
-/** Environment stamp of a BENCH file. */
+/** Build and host stamp of a benchmark run. */
 struct BenchEnv
 {
-    std::string gitSha = "unknown";
     /** Compiler id string (__VERSION__ of the harness build). */
     std::string compiler;
     std::string buildType;
-    /** Build parallelism recorded for provenance (-j). */
-    unsigned buildJobs = 0;
     /** Hardware threads of the measuring host. */
     unsigned hostThreads = 0;
-    /** Civil timestamp of the measurement (unix seconds). */
-    double unixTime = 0.0;
 };
 
 /** Compiler/build-type stamp compiled into the harness. */
 BenchEnv localBenchEnv();
-
-/**
- * Render the schema-versioned BENCH document: header with env
- * stamps + one object per cell (id, config hash, refs/sec
- * median/MAD/samples, per-phase ns/calls, alloc bytes/calls).
- */
-std::string renderBenchJson(const std::string &suite,
-                            const BenchOptions &opts,
-                            const BenchEnv &env,
-                            const std::vector<BenchCellResult> &results);
-
-/** Human-readable per-cell table for stderr/stdout. */
-std::string renderBenchTable(const std::vector<BenchCellResult> &results);
 
 } // namespace morphcache
 

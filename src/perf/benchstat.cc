@@ -1,7 +1,6 @@
 #include "perf/benchstat.hh"
 
 #include <algorithm>
-#include <cmath>
 
 namespace morphcache {
 
@@ -20,29 +19,6 @@ median(std::vector<double> values)
     const double lower =
         *std::max_element(values.begin(), values.begin() + mid);
     return (lower + upper) / 2.0;
-}
-
-double
-medianAbsDeviation(const std::vector<double> &values)
-{
-    if (values.empty())
-        return 0.0;
-    const double m = median(values);
-    std::vector<double> dev;
-    dev.reserve(values.size());
-    for (double v : values)
-        dev.push_back(std::fabs(v - m));
-    return median(std::move(dev));
-}
-
-TrialSummary
-summarizeTrials(const std::vector<double> &samples)
-{
-    TrialSummary s;
-    s.median = median(samples);
-    s.mad = medianAbsDeviation(samples);
-    s.samples = samples.size();
-    return s;
 }
 
 std::vector<double>

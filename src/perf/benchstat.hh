@@ -1,17 +1,15 @@
 /**
  * @file
- * Trial statistics for the benchmark harness: warmup discard and
- * median/MAD summarization, kept pure so tests/perf_test.cc can
- * verify the protocol math without running a simulator.
+ * Trial statistics for the perfbench benchmark: warmup discard
+ * and the median, kept pure so tests/perf_test.cc can verify the
+ * protocol math without running a simulator.
  *
- * Protocol: a benchmark cell runs `warmup + trials` times; the
- * first `warmup` samples are discarded (cold caches, lazy
- * first-touch allocation, branch-predictor training), and the
- * remaining `trials` samples are summarized as median + MAD. Median
- * over mean because a single preempted trial must not drag the
- * headline number; MAD (median absolute deviation) over stddev for
- * the same robustness reason — a BENCH file asserts "half the
- * trials were within MAD of the median", which survives outliers.
+ * Protocol: a measurement runs `warmup + trials` times; the first
+ * `warmup` samples are discarded (cold caches, lazy first-touch
+ * allocation, branch-predictor training), and the remaining
+ * `trials` samples are summarized by their median. Median over mean
+ * because a single preempted trial must not drag the headline
+ * number.
  */
 
 #ifndef MORPHCACHE_PERF_BENCHSTAT_HH
@@ -25,19 +23,6 @@ namespace morphcache {
 
 /** Median of `values` (empty input returns 0). */
 double median(std::vector<double> values);
-
-/** Median absolute deviation around median(values). */
-double medianAbsDeviation(const std::vector<double> &values);
-
-/** median + MAD of a sample set. */
-struct TrialSummary
-{
-    double median = 0.0;
-    double mad = 0.0;
-    std::size_t samples = 0;
-};
-
-TrialSummary summarizeTrials(const std::vector<double> &samples);
 
 /**
  * Run `warmup + trials` invocations of `one_trial` and return only

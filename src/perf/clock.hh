@@ -4,7 +4,7 @@
  *
  * Simulated behaviour never reads real time (DESIGN.md section 9),
  * but telemetry legitimately does: the phase profiler, lease
- * deadlines, manifest event timestamps, and the mc_bench harness
+ * deadlines, manifest event timestamps, and the perfbench benchmark
  * all measure or stamp wall-clock time. Those reads are funnelled
  * through this one translation unit so mc_analyze's `wall-clock`
  * check can forbid raw clock primitives everywhere else in src/,
@@ -32,7 +32,7 @@ double perfNowSec();
 
 /**
  * Civil time as seconds since the Unix epoch (provenance stamps:
- * manifest event timestamps, BENCH_*.json env blocks). Comparable
+ * manifest event timestamps). Comparable
  * across processes and hosts; may step under clock adjustment, so
  * use perfNowNs() for measuring intervals within one process.
  */

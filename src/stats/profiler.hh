@@ -69,8 +69,9 @@ using ProfAllocProbe = ProfAllocSample (*)();
 
 /**
  * Point-in-time copy of every phase's accumulators. This is the
- * stable machine-readable export: harnesses (tools/mc_bench) take a
- * snapshot before and after a measured region and report the delta.
+ * stable machine-readable export: measuring code (perfbench, the
+ * allocation-gate test) takes a snapshot before and after a
+ * measured region and reports the delta.
  * Parsing report() text or scraping `prof.*` keys out of a registry
  * dump is deprecated — those renderings may change formatting;
  * snapshot() may only gain fields.

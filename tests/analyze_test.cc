@@ -1,8 +1,7 @@
 /**
  * @file
  * End-to-end tests of tools/mc_analyze (the AST-level semantic
- * analyzer) driven through python3, mirroring the mc_benchdiff
- * harness idiom in perf_test.cc.
+ * analyzer) driven through python3.
  *
  * Every rule gets a mutation-catching pair: a seeded-bug fixture
  * the analyzer MUST flag and a clean fixture it must stay silent

@@ -1,8 +1,9 @@
 #!/bin/sh
 # Static-analysis CI leg: mc_analyze (the repo's source analyzer:
 # wrap-safety, serialization, determinism, concurrency and the
-# source conventions), clang-tidy over the compilation database,
-# cppcheck, and a fast model-check of the reconfiguration engine.
+# source conventions) over the tree and its planted-bug fixtures,
+# clang-tidy over the compilation database, cppcheck, and a fast
+# model-check of the reconfiguration engine.
 # Fails on any finding.
 #
 # Run from the repo root: tools/ci_static_analysis.sh [build-dir]
@@ -23,43 +24,24 @@ echo "== mc_analyze: source analyzer =="
 # runs).
 python3 tools/mc_analyze
 
-echo "== mc_analyze: mutation fixtures must be caught =="
-# One seeded-bug fixture per rule. A rule that goes blind makes its
-# fixture exit 0 and fails this leg -- the analyzer is not allowed
-# to silently pass with zero coverage. Fixtures under src/ stand in
-# for the same path in the tree (guard names, own header first,
-# sanctioned files).
-for fix in wrap_bug.cc ckpt_bug.cc det_bug.cc conc_bug.cc \
-           globals_bug.cc write_bug.cc publish_bug.cc vfsio_bug.cc \
-           src/conv/include_bug.cc src/conv/guard_bug.hh \
-           src/conv/own_bug.cc; do
-    if python3 tools/mc_analyze --fixture-mode --cache-dir '' \
-        --allowlist /dev/null \
-        "tests/analyze_fixtures/$fix" >/dev/null 2>&1; then
-        echo "FAIL: planted bug fixture '$fix' was not detected" >&2
-        exit 1
-    fi
-done
-for fix in wrap_clean.cc ckpt_clean.cc det_clean.cc conc_clean.cc \
-           globals_clean.cc write_clean.cc publish_clean.cc \
-           vfsio_clean.cc src/conv/include_clean.cc \
-           src/conv/include_clean.hh src/conv/guard_clean.hh \
-           src/conv/own_bug.hh src/io/vfs.cc src/perf/clock.cc \
-           src/common/logging.cc; do
-    python3 tools/mc_analyze --fixture-mode --cache-dir '' \
-        --allowlist /dev/null -q \
-        "tests/analyze_fixtures/$fix"
-done
-
 # The analyzers and the model checker consume a real build:
 # clang-tidy needs compile_commands.json (exported unconditionally
 # by the top-level CMakeLists), the model checker needs the
-# mc_modelcheck binary, and building with MORPHCACHE_DEV_WARNINGS=ON
-# makes -Wshadow/-Wconversion/-Wextra-semi (as errors) part of the
-# leg. Configure before the analyzers so they see a fresh database.
+# mc_modelcheck binary, the fixture tests need mc_tests, and
+# building with MORPHCACHE_DEV_WARNINGS=ON makes
+# -Wshadow/-Wconversion/-Wextra-semi (as errors) part of the leg.
+# Configure before the analyzers so they see a fresh database.
 echo "== build (MORPHCACHE_DEV_WARNINGS=ON) =="
 cmake -B "$builddir" -S . -DMORPHCACHE_DEV_WARNINGS=ON
 cmake --build "$builddir" -j
+
+echo "== mc_analyze: every planted bug caught at its site =="
+# One seeded-bug fixture per rule, each with the sites it must
+# report, and a clean counterpart it must pass; tests/analyze_test.cc
+# holds the lists. A check that goes blind fails its site here even
+# when its fixture still exits 1 on another finding. python3 ran
+# above, so no case skips.
+"$builddir"/tests/mc_tests --gtest_filter='Analyze.*'
 
 if command -v clang-tidy >/dev/null 2>&1; then
     echo "== clang-tidy =="

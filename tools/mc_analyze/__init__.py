@@ -41,6 +41,3 @@ agnostic. Models are cached keyed on file-content hash.
 
 Stdlib only; no third-party dependencies.
 """
-
-# Bumping this invalidates every cached model.
-MODEL_VERSION = 1

@@ -19,6 +19,7 @@ import os
 
 from model import FileModel
 
+# Bumping this invalidates every cached model.
 MODEL_VERSION = 1
 
 
