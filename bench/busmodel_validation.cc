@@ -4,11 +4,12 @@
  * cycle-level arbiter-tree simulator, across offered load and
  * sharing degree. The CMP simulator uses the queueing model on its
  * hot path; this bench quantifies what that approximation costs.
+ * BusSim.AgreesWithQueueingModelWhenUncontended gates the low- and
+ * moderate-load rows of this table.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
+#include <vector>
 
 #include "common/rng.hh"
 #include "interconnect/bus_sim.hh"
@@ -62,44 +63,11 @@ compareModels()
                 "cycles is the design target)\n\n");
 }
 
-void
-BM_CycleLevelBus(benchmark::State &state)
-{
-    SegmentedBusSim sim(16, BusParams{});
-    sim.configure(std::vector<std::uint32_t>(16, 0));
-    Cycle t = 0;
-    SliceId s = 0;
-    for (auto _ : state) {
-        sim.request(s, t);
-        benchmark::DoNotOptimize(sim.advanceTo(t + 20));
-        t += 20;
-        s = static_cast<SliceId>((s + 1) % 16);
-    }
-}
-BENCHMARK(BM_CycleLevelBus);
-
-void
-BM_QueueingBus(benchmark::State &state)
-{
-    SegmentedBus bus(16, BusParams{});
-    bus.configure(std::vector<std::uint32_t>(16, 0));
-    Cycle t = 0;
-    SliceId s = 0;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(bus.transact(s, t));
-        t += 20;
-        s = static_cast<SliceId>((s + 1) % 16);
-    }
-}
-BENCHMARK(BM_QueueingBus);
-
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
     compareModels();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

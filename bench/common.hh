@@ -67,17 +67,16 @@ benchJobs()
 }
 
 /**
- * Fan `fn(i)` for i in [0, n) across MC_JOBS workers and return the
- * results in index order. Each call is one independent simulation
- * cell (own workload, hierarchy, stats), so the printed figures are
- * byte-identical to the serial loop this replaces.
+ * Fan `fn(i)` for i in [0, n) across MC_JOBS threads and return the
+ * results in index order (parallelMap). Each call is one independent
+ * simulation cell (own workload, hierarchy, stats), so the printed
+ * figures are byte-identical to a serial loop.
  */
 template <typename Fn>
 auto
-parallelRows(std::size_t n, Fn fn)
+parallelRows(std::size_t n, const Fn &fn)
 {
-    SweepRunner runner(benchJobs());
-    return runner.map(n, fn);
+    return parallelMap(n, benchJobs(), fn);
 }
 
 /** Per-mix dispatch: runs `fn(m)` for mixes m in [1, num_mixes]. */

@@ -1,6 +1,6 @@
 /**
  * @file
- * Crash-resilient resumable sweep campaigns in one process.
+ * Sweeps in one process: durable (runCampaign) and not (runSweep).
  *
  * runCampaign() is `morphcache_sim --sweep --manifest/--resume`: a
  * composition of the campaign engine's parts, not a second engine.
@@ -24,10 +24,17 @@
  *    `"status":"failed"`, never silently dropped, and excluded from
  *    the stats aggregate.
  *
+ * runSweep() is plain `morphcache_sim --sweep`: the same cells
+ * (CampaignPlan::cells()), the same cell function (runCell, with no
+ * checkpoint path) fanned out by parallelMap (sweep.hh), and the
+ * same renderCampaignReport — no manifest, no state directory, no
+ * retries, and an interrupt loses the progress made.
+ *
  * Everything in CampaignReport is a pure function of the cell list
  * and the per-cell simulated results: bytes are identical for any
- * job count, kill point, or resume count, and identical to an
- * `mc_campaign init/work/merge` run of the same plan.
+ * job count, kill point, or resume count, identical to an
+ * `mc_campaign init/work/merge` run of the same plan, and identical
+ * between runSweep and runCampaign.
  */
 
 #ifndef MORPHCACHE_RUNNER_CAMPAIGN_HH
@@ -83,6 +90,16 @@ struct CampaignReport
  */
 CampaignReport runCampaign(const std::vector<CampaignCell> &cells,
                            const CampaignOptions &opts);
+
+/**
+ * Run every cell once on `jobs` threads (0 = every hardware thread)
+ * and render the report; nothing touches the filesystem. A cell that
+ * throws is reported as failed after 1 attempt, as runCampaign
+ * reports it without retries. When the interrupt flag stops the
+ * sweep, the report only says `interrupted`.
+ */
+CampaignReport runSweep(const std::vector<CampaignCell> &cells,
+                        unsigned jobs, bool wantStatsJson);
 
 } // namespace morphcache
 

@@ -21,28 +21,9 @@
 
 namespace morphcache {
 
-namespace {
-
-/**
- * Thrown out of runCellAttempt() when the cooperative interrupt
- * flag is raised; the in-progress checkpoint has already been
- * written, so the cell resumes from where it stopped.
- */
-struct CellInterrupted
-{
-};
-
-/**
- * One try of one cell: build the run, restore from `ckpt_path` (or
- * its .prev fallback) when a checkpoint exists, step epochs —
- * checkpointing every ckptEvery and honouring the interrupt flag
- * and watchdog — and return the completed outcome (attempts is left
- * for the caller to fill).
- */
 CellOutcome
-runCellAttempt(const CampaignCell &cell,
-               const std::string &ckpt_path,
-               const ExecutorOptions &opts)
+runCell(const CampaignCell &cell, const std::string &ckpt_path,
+        const ExecutorOptions &opts)
 {
     BuiltRun run = buildRun(cell.spec);
     StatsRegistry registry;
@@ -62,8 +43,10 @@ runCellAttempt(const CampaignCell &cell,
     state.workload = run.workload.get();
     state.registry = opts.wantStatsJson ? &registry : nullptr;
 
+    const bool durable = !ckpt_path.empty();
     std::uint64_t last_ckpt = 0;
-    if (fileExists(ckpt_path) || fileExists(ckpt_path + ".prev")) {
+    if (durable && (fileExists(ckpt_path) ||
+                    fileExists(ckpt_path + ".prev"))) {
         const RestoreOutcome restored =
             restoreCheckpointChain(ckpt_path, cell.spec, state);
         last_ckpt = restored.epochsCompleted;
@@ -78,11 +61,12 @@ runCellAttempt(const CampaignCell &cell,
 
     while (!simulation.done()) {
         if (ckptInterruptRequested()) {
-            writeCheckpoint(ckpt_path, cell.spec, state);
+            if (durable)
+                writeCheckpoint(ckpt_path, cell.spec, state);
             throw CellInterrupted{};
         }
         simulation.stepEpoch();
-        if (opts.ckptEvery != 0 &&
+        if (durable && opts.ckptEvery != 0 &&
             simulation.recordedEpochs() >=
                 last_ckpt + opts.ckptEvery) {
             writeCheckpoint(ckpt_path, cell.spec, state);
@@ -115,6 +99,8 @@ runCellAttempt(const CampaignCell &cell,
         o.statsJson = registry.jsonString();
     return o;
 }
+
+namespace {
 
 /**
  * The leases this worker process currently holds, shared between
@@ -288,8 +274,8 @@ driveClaimedCell(ExecutorCtx &ctx, std::size_t index,
         appendQuiet(ctx, index, "running", attempts);
         ctx.held.setAttempts(index, attempts);
         try {
-            CellOutcome o = runCellAttempt(
-                cell, cellCkptPath(ctx.dir, index), ctx.opts);
+            CellOutcome o =
+                runCell(cell, cellCkptPath(ctx.dir, index), ctx.opts);
             o.attempts = attempts + 1;
             if (commit(o)) {
                 appendQuiet(ctx, index, "done", attempts + 1);

@@ -29,6 +29,9 @@
  *    by the worker's own threads are theirs to finish, so idle
  *    threads exit instead of polling.
  *
+ * The cell itself is runCell(), which the non-durable `--sweep`
+ * (runSweep, campaign.hh) also runs, without a checkpoint path.
+ *
  * Because every cell's result bytes are a pure function of its
  * RunSpec, merging the result files (loadCellResults +
  * renderCampaignReport) emits bytes identical to an uninterrupted
@@ -79,6 +82,31 @@ struct ExecutorReport
     /** Every cell has a durable result file. */
     bool campaignComplete = false;
 };
+
+/**
+ * Thrown out of runCell() when the cooperative interrupt flag is
+ * raised (ckptInterruptRequested); a durable cell has written its
+ * checkpoint first, so it resumes from where it stopped.
+ */
+struct CellInterrupted
+{
+};
+
+/**
+ * One try of one cell: build the run, restore from `ckpt_path` (or
+ * its .prev fallback) when a checkpoint exists, step epochs —
+ * checkpointing every opts.ckptEvery recorded epochs, honouring the
+ * interrupt flag and the opts.cellTimeoutSec watchdog — and return
+ * the completed outcome (`attempts` is left for the caller). An
+ * empty `ckpt_path` neither restores nor checkpoints, but still
+ * stops on the interrupt flag. Reads only ckptEvery, cellTimeoutSec
+ * and wantStatsJson of `opts`. Throws CellInterrupted, or the
+ * cell's own error (ConfigError for an unknown scheme, SimError
+ * from the watchdog, ...).
+ */
+CellOutcome runCell(const CampaignCell &cell,
+                    const std::string &ckpt_path,
+                    const ExecutorOptions &opts);
 
 /**
  * Drain the campaign as one worker process: claim, run, commit, and

@@ -2,9 +2,11 @@
 
 #include <cstdio>
 
+#include "baselines/dsr.hh"
+#include "baselines/pipp.hh"
+#include "baselines/ucp.hh"
 #include "check/invariant.hh"
 #include "common/error.hh"
-#include "runner/sim_sweep.hh"
 #include "sim/config.hh"
 #include "workload/trace.hh"
 
@@ -50,6 +52,31 @@ makeWorkload(const RunSpec &spec, const GeneratorParams &gen,
 }
 
 } // namespace
+
+std::unique_ptr<MemorySystem>
+makeSchemeSystem(const std::string &scheme,
+                 const HierarchyParams &hier, std::uint32_t cores,
+                 const MorphConfig &morph_config)
+{
+    if (scheme == "morph")
+        return std::make_unique<MorphCacheSystem>(hier, morph_config);
+    if (scheme == "pipp")
+        return std::make_unique<PippSystem>(hier);
+    if (scheme == "dsr")
+        return std::make_unique<DsrSystem>(hier);
+    if (scheme == "ucp")
+        return std::make_unique<UcpSystem>(hier);
+    if (scheme.rfind("static:", 0) == 0) {
+        unsigned x = 0, y = 0, z = 0;
+        if (std::sscanf(scheme.c_str(), "static:%u:%u:%u", &x, &y,
+                        &z) != 3) {
+            throw ConfigError("bad static scheme '" + scheme + "'");
+        }
+        return std::make_unique<StaticTopologySystem>(
+            hier, Topology::symmetric(cores, x, y, z));
+    }
+    throw ConfigError("unknown scheme '" + scheme + "'");
+}
 
 BuiltRun
 buildRun(const RunSpec &spec)

@@ -12,9 +12,12 @@
 #ifndef MORPHCACHE_RUNNER_RUN_FACTORY_HH
 #define MORPHCACHE_RUNNER_RUN_FACTORY_HH
 
+#include <cstdint>
 #include <memory>
+#include <string>
 
 #include "ckpt/run_spec.hh"
+#include "morph/controller.hh"
 #include "sim/memory_system.hh"
 #include "sim/simulation.hh"
 #include "workload/generator.hh"
@@ -30,6 +33,17 @@ struct BuiltRun
     bool sharedSpace = false;
     SimParams sim;
 };
+
+/**
+ * Build a memory system for a scheme name: "morph",
+ * "static:<x>:<y>:<z>", "pipp", "dsr", or "ucp". Throws ConfigError
+ * on an unknown scheme. `morph_config` applies to the morph scheme
+ * only.
+ */
+std::unique_ptr<MemorySystem>
+makeSchemeSystem(const std::string &scheme,
+                 const HierarchyParams &hier, std::uint32_t cores,
+                 const MorphConfig &morph_config);
 
 /**
  * Construct workload + memory system + simulation parameters for a

@@ -1,43 +1,37 @@
 /**
  * @file
- * Deterministic parallel sweep runner.
+ * Deterministic parallel map, and sweep cell seeding.
  *
- * A sweep is an ordered list of independent *cells* — one
- * simulation run each (one config × workload × seed point). The
- * SweepRunner fans the cells across a fixed-size ThreadPool and
- * hands the results back in submission order, so the output of a
- * sweep is byte-identical no matter how many workers ran it.
+ * parallelMap() is the one fan-out primitive outside the campaign
+ * executor: the non-durable `--sweep` (runSweep, campaign.hh) and
+ * the figure benches (bench/common.hh:parallelRows) run their
+ * independent cells through it. Its output is byte-identical for
+ * any job count because:
  *
- * The determinism contract, and what makes it hold:
- *
- *  - every cell owns its full simulation state: its own Workload
- *    (cloned from a prototype built on the submitting thread), its
- *    own memory system / hierarchy, and its own StatsRegistry —
- *    nothing simulated is shared between cells;
+ *  - every call fn(i) owns its full simulation state (workload,
+ *    memory system, stats registry) — nothing simulated is shared;
  *  - cell seeds derive only from (base seed, cell index) via
  *    sweepCellSeed(), never from thread identity or time;
- *  - results land in a pre-sized slot per cell (no reordering, no
- *    reallocation) and are read back only after the pool drains;
+ *  - result i lands in slot i of a pre-sized vector (disjoint
+ *    writes, no reordering), read only after every thread joined;
  *  - the remaining process-wide state (the log sinks and the phase
  *    Profiler) is mutex-guarded / atomic and feeds no simulated
  *    numbers.
- *
- * A throwing cell fails only itself: the exception is captured into
- * that cell's SweepResult and every other cell still runs.
  */
 
 #ifndef MORPHCACHE_RUNNER_SWEEP_HH
 #define MORPHCACHE_RUNNER_SWEEP_HH
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <exception>
-#include <optional>
-#include <string>
-#include <utility>
+#include <system_error>
+#include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "common/rng.hh"
-#include "runner/thread_pool.hh"
 
 namespace morphcache {
 
@@ -55,94 +49,61 @@ sweepCellSeed(std::uint64_t base, std::uint64_t index)
     return splitMix64(state);
 }
 
-/** Outcome of one sweep cell: a value, or the error that ate it. */
-template <typename R>
-struct SweepResult
+/** The `jobs == 0` rule: every hardware thread, at least one. */
+inline unsigned
+defaultJobs()
 {
-    std::optional<R> value;
-    /** Captured cell exception (null when the cell succeeded). */
-    std::exception_ptr exception;
-    /** what() of the captured exception, for reporting. */
-    std::string error;
+    return std::max(1u, std::thread::hardware_concurrency());
+}
 
-    bool ok() const { return value.has_value(); }
-
-    /** The value; rethrows the cell's exception on failure. */
-    R &
-    get()
-    {
-        if (!value.has_value())
-            std::rethrow_exception(exception);
-        return *value;
-    }
-};
-
-class SweepRunner
+/**
+ * Run `fn(i)` for every i in [0, n) on `jobs` std::threads (0 =
+ * defaultJobs(), never more than n) and return the values in index
+ * order. The threads pull indices from one atomic counter and write
+ * value i into slot i. A throwing call does not stop the others:
+ * every call runs, every thread is joined, and then the exception
+ * of the lowest failing index is rethrown — the same one for any
+ * schedule.
+ */
+template <typename Fn,
+          typename R = std::invoke_result_t<const Fn &, std::size_t>>
+std::vector<R>
+parallelMap(std::size_t n, unsigned jobs, const Fn &fn)
 {
-  public:
-    /** @param jobs Worker threads; 0 = hardware_concurrency. */
-    explicit SweepRunner(unsigned jobs = 0) : pool_(jobs) {}
-
-    unsigned jobs() const { return pool_.numThreads(); }
-
-    /**
-     * Run `cells[i]()` for every i across the pool; result i is
-     * cell i's, regardless of completion order.
-     */
-    template <typename Fn>
-    auto
-    run(std::vector<Fn> cells)
-        -> std::vector<SweepResult<decltype(cells.front()())>>
-    {
-        using R = decltype(cells.front()());
-        std::vector<SweepResult<R>> results(cells.size());
-        for (std::size_t i = 0; i < cells.size(); ++i) {
-            Fn &cell = cells[i];
-            SweepResult<R> &slot = results[i];
-            pool_.submit([&cell, &slot]() {
-                try {
-                    slot.value.emplace(cell());
-                } catch (const std::exception &err) {
-                    slot.exception = std::current_exception();
-                    slot.error = err.what();
-                } catch (...) {
-                    slot.exception = std::current_exception();
-                    slot.error = "unknown exception";
+    static_assert(!std::is_same_v<R, bool>,
+                  "std::vector<bool> packs slots into shared words");
+    std::vector<R> values(n);
+    std::vector<std::exception_ptr> errors(n);
+    std::atomic<std::size_t> next{0};
+    const std::size_t threads = std::min<std::size_t>(
+        n, jobs != 0 ? jobs : defaultJobs());
+    std::vector<std::thread> workers;
+    workers.reserve(threads);
+    for (std::size_t t = 0; t < threads; ++t) {
+        try {
+            workers.emplace_back([&next, &values, &errors, &fn, n]() {
+                for (std::size_t i = next++; i < n; i = next++) {
+                    try {
+                        values[i] = fn(i);
+                    } catch (...) {
+                        errors[i] = std::current_exception();
+                    }
                 }
             });
+        } catch (const std::system_error &) {
+            if (workers.empty())
+                throw;
+            break; // out of threads: the ones running finish the map
         }
-        pool_.wait();
-        return results;
     }
-
-    /**
-     * Index-driven convenience: run `fn(i)` for i in [0, n) and
-     * return the values in index order, rethrowing the first failed
-     * cell's exception. The per-index shape (rather than iterating
-     * a container) is what the bench per-mix loops dispatch
-     * through.
-     */
-    template <typename Fn>
-    auto
-    map(std::size_t n, Fn fn)
-        -> std::vector<decltype(fn(std::size_t{0}))>
-    {
-        using R = decltype(fn(std::size_t{0}));
-        std::vector<std::function<R()>> cells;
-        cells.reserve(n);
-        for (std::size_t i = 0; i < n; ++i)
-            cells.push_back([fn, i]() { return fn(i); });
-        auto results = run(std::move(cells));
-        std::vector<R> values;
-        values.reserve(n);
-        for (auto &result : results)
-            values.push_back(std::move(result.get()));
-        return values;
+    for (std::thread &worker : workers)
+        worker.join();
+    for (const std::exception_ptr &error : errors) {
+        if (error)
+            std::rethrow_exception(error);
     }
-
-  private:
-    ThreadPool pool_;
-};
+    return values;
+}
 
 } // namespace morphcache
 

@@ -6,7 +6,7 @@
  * simulated byte":
  *
  *  - golden stats fixtures: every scheme x a pair of mixes runs
- *    through runSimCell and the full stats JSON is compared
+ *    as one test-local cell and the full stats JSON is compared
  *    byte-for-byte against a committed fixture generated before the
  *    struct-of-arrays refactor, and the cell's RunResult (per-epoch
  *    throughput, IPC, and misses at %.17g) against a committed
@@ -26,6 +26,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -37,8 +38,10 @@
 #include "common/rng.hh"
 #include "hierarchy/cache_level.hh"
 #include "mem/slice.hh"
-#include "runner/sim_sweep.hh"
+#include "runner/run_factory.hh"
 #include "sim/config.hh"
+#include "sim/simulation.hh"
+#include "stats/registry.hh"
 #include "workload/generator.hh"
 #include "workload/profiles.hh"
 
@@ -76,8 +79,15 @@ fixturePath(const std::string &scheme, int mix, const char *ext)
     return goldenDir() + name;
 }
 
+/** What a golden cell is compared on. */
+struct GoldenCell
+{
+    std::string statsJson;
+    RunResult run;
+};
+
 /** One small deterministic 4-core cell with stats JSON on. */
-SimCellResult
+GoldenCell
 runGoldenCell(const std::string &scheme, int mix)
 {
     const HierarchyParams hier = fastScaleHierarchy(4);
@@ -87,19 +97,26 @@ runGoldenCell(const std::string &scheme, int mix)
     MixSpec spec_mix = mixByName(mix_name);
     spec_mix.benchmarks.resize(4);
     MixWorkload workload(spec_mix, gen, 42);
+    const std::unique_ptr<MemorySystem> system =
+        makeSchemeSystem(scheme, hier, 4, MorphConfig{});
 
-    SimCellSpec spec;
-    spec.label = "golden";
-    spec.workload = &workload;
-    spec.scheme = scheme;
-    spec.hier = hier;
-    spec.sim.epochs = 3;
-    spec.sim.warmupEpochs = 1;
-    spec.sim.refsPerEpochPerCore = 1500;
-    spec.seed = 42;
-    spec.configDesc = "golden " + scheme;
-    spec.wantStatsJson = true;
-    return runSimCell(spec);
+    StatsRegistry registry;
+    StatsMeta meta;
+    meta.seed = 42;
+    meta.configHash = configHashHex("golden " + scheme);
+    registry.setMeta(meta);
+    system->registerStats(registry);
+
+    SimParams sim;
+    sim.epochs = 3;
+    sim.warmupEpochs = 1;
+    sim.refsPerEpochPerCore = 1500;
+    Simulation simulation(*system, workload, sim);
+    simulation.setRegistry(&registry);
+    GoldenCell cell;
+    cell.run = simulation.run();
+    cell.statsJson = registry.jsonString();
+    return cell;
 }
 
 /** %.17g, so equal text means a bit-equal double. */
@@ -157,7 +174,7 @@ TEST(GoldenStats, EverySchemeMatchesFixture)
         for (int mix : kGoldenMixes) {
             SCOPED_TRACE(std::string(scheme) + " mix " +
                          std::to_string(mix));
-            const SimCellResult cell = runGoldenCell(scheme, mix);
+            const GoldenCell cell = runGoldenCell(scheme, mix);
             ASSERT_FALSE(cell.statsJson.empty());
             const std::pair<const char *, std::string> rendered[] = {
                 {".json", cell.statsJson},

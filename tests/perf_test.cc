@@ -16,9 +16,9 @@
 #include "perf/allocmeter.hh"
 #include "perf/benchstat.hh"
 #include "perf/clock.hh"
+#include "runner/executor.hh"
 #include "runner/manifest.hh"
 #include "runner/run_factory.hh"
-#include "runner/sim_sweep.hh"
 #include "sim/config.hh"
 #include "sim/simulation.hh"
 #include "stats/profiler.hh"
@@ -119,27 +119,20 @@ TEST(AllocMeter, OperatorNewIsCounted)
 namespace {
 
 /** One small 4-core cell, stats JSON on (the parity witness). */
-SimCellResult
+CellOutcome
 runParityCell()
 {
-    const HierarchyParams hier = fastScaleHierarchy(4);
-    const GeneratorParams gen = generatorFor(hier);
-    MixSpec mix = mixByName("MIX 03");
-    mix.benchmarks.resize(4);
-    MixWorkload workload(mix, gen, 42);
-
-    SimCellSpec spec;
-    spec.label = "parity";
-    spec.workload = &workload;
-    spec.scheme = "morph";
-    spec.hier = hier;
-    spec.sim.epochs = 3;
-    spec.sim.warmupEpochs = 1;
-    spec.sim.refsPerEpochPerCore = 1500;
-    spec.seed = 42;
-    spec.configDesc = "parity";
-    spec.wantStatsJson = true;
-    return runSimCell(spec);
+    CampaignCell cell;
+    cell.label = "parity";
+    cell.spec.workload = "mix:3";
+    cell.spec.scheme = "morph";
+    cell.spec.cores = 4;
+    cell.spec.epochs = 3;
+    cell.spec.refs = 1500;
+    cell.spec.seed = 42;
+    ExecutorOptions opts;
+    opts.wantStatsJson = true;
+    return runCell(cell, "", opts);
 }
 
 } // namespace
@@ -153,18 +146,18 @@ TEST(AllocMeter, MeteringChangesNoSimulatedByte)
 
     AllocMeter::setEnabled(false);
     Profiler::global().setEnabled(false);
-    const SimCellResult off = runParityCell();
+    const CellOutcome off = runParityCell();
 
     AllocMeter::setEnabled(true);
     Profiler::global().setEnabled(true);
-    const SimCellResult on = runParityCell();
+    const CellOutcome on = runParityCell();
 
     AllocMeter::setEnabled(meter_was);
     Profiler::global().setEnabled(prof_was);
 
     ASSERT_FALSE(off.statsJson.empty());
     EXPECT_EQ(off.statsJson, on.statsJson);
-    EXPECT_EQ(off.run.avgThroughput, on.run.avgThroughput);
+    EXPECT_EQ(off.throughput, on.throughput);
     EXPECT_EQ(off.finalTopology, on.finalTopology);
 }
 

@@ -1,10 +1,10 @@
 /**
  * @file
- * Tests for the deterministic parallel experiment runner: the
- * thread pool, the generic sweep runner (ordering, failure
- * isolation), seed derivation, and the headline contract — a
- * -j1 sweep and a -j8 sweep of the same cells produce identical
- * RunResults and identical stats-JSON bytes.
+ * Tests for the deterministic parallel sweep: parallelMap (index
+ * order, the lowest-index rethrow, join before rethrow), seed
+ * derivation, and the headline contract — a -j1 sweep and a -j8
+ * sweep of the same cells produce identical reports and stats-JSON
+ * bytes, identical to the durable campaign's.
  */
 
 #include <gtest/gtest.h>
@@ -12,62 +12,26 @@
 #include <atomic>
 #include <chrono>
 #include <cstddef>
-#include <cstdio>
-#include <functional>
-#include <memory>
+#include <filesystem>
 #include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "runner/sim_sweep.hh"
+#include "ckpt/ckpt.hh"
+#include "runner/campaign.hh"
+#include "runner/executor.hh"
 #include "runner/sweep.hh"
-#include "runner/thread_pool.hh"
-#include "sim/config.hh"
-#include "workload/generator.hh"
-#include "workload/profiles.hh"
 
 namespace morphcache {
 namespace {
 
-TEST(ThreadPool, RunsEverySubmittedTask)
+TEST(ParallelMap, MoreCellsThanWorkersKeepIndexOrder)
 {
-    ThreadPool pool(4);
-    EXPECT_EQ(pool.numThreads(), 4u);
-    std::atomic<int> count{0};
-    for (int i = 0; i < 100; ++i)
-        pool.submit([&count]() { ++count; });
-    pool.wait();
-    EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPool, WaitIsReusable)
-{
-    ThreadPool pool(2);
-    std::atomic<int> count{0};
-    pool.submit([&count]() { ++count; });
-    pool.wait();
-    EXPECT_EQ(count.load(), 1);
-    pool.submit([&count]() { ++count; });
-    pool.submit([&count]() { ++count; });
-    pool.wait();
-    EXPECT_EQ(count.load(), 3);
-}
-
-TEST(ThreadPool, ZeroSelectsHardwareConcurrency)
-{
-    ThreadPool pool(0);
-    EXPECT_GE(pool.numThreads(), 1u);
-    EXPECT_EQ(pool.numThreads(), ThreadPool::defaultThreads());
-}
-
-TEST(SweepRunner, MoreCellsThanWorkersKeepSubmissionOrder)
-{
-    SweepRunner runner(3);
-    const auto values = runner.map(64, [](std::size_t i) {
+    const auto values = parallelMap(64, 3, [](std::size_t i) {
         // Uneven cell durations shuffle *completion* order; results
-        // must still come back in submission order.
+        // must still come back in index order.
         if (i % 7 == 0) {
             std::this_thread::sleep_for(
                 std::chrono::milliseconds(1));
@@ -79,40 +43,44 @@ TEST(SweepRunner, MoreCellsThanWorkersKeepSubmissionOrder)
         EXPECT_EQ(values[i], i * i);
 }
 
-TEST(SweepRunner, ThrowingCellFailsOnlyItself)
+TEST(ParallelMap, RethrowsLowestIndexFailure)
 {
-    SweepRunner runner(4);
-    std::vector<std::function<int()>> cells;
-    for (int i = 0; i < 16; ++i) {
-        cells.push_back([i]() {
-            if (i == 5)
-                throw std::runtime_error("cell five exploded");
+    // Cell 6 throws at once, cell 3 only after a delay: the rethrown
+    // error must still be cell 3's, whatever finished first.
+    try {
+        parallelMap(8, 4, [](std::size_t i) {
+            if (i == 3) {
+                std::this_thread::sleep_for(
+                    std::chrono::milliseconds(20));
+                throw std::runtime_error("cell three");
+            }
+            if (i == 6)
+                throw std::runtime_error("cell six");
             return i;
         });
-    }
-    const auto results = runner.run(std::move(cells));
-    ASSERT_EQ(results.size(), 16u);
-    for (int i = 0; i < 16; ++i) {
-        if (i == 5) {
-            EXPECT_FALSE(results[i].ok());
-            EXPECT_EQ(results[i].error, "cell five exploded");
-        } else {
-            ASSERT_TRUE(results[i].ok());
-            EXPECT_EQ(*results[i].value, i);
-        }
+        FAIL() << "parallelMap swallowed the cell failures";
+    } catch (const std::runtime_error &err) {
+        EXPECT_STREQ(err.what(), "cell three");
     }
 }
 
-TEST(SweepRunner, MapRethrowsCellFailure)
+TEST(ParallelMap, JoinsEveryWorkerBeforeRethrow)
 {
-    SweepRunner runner(2);
-    EXPECT_THROW(runner.map(4,
-                            [](std::size_t i) {
-                                if (i == 2)
-                                    throw std::runtime_error("boom");
-                                return i;
-                            }),
+    // Cell 0 fails at once; every other cell still runs to the end
+    // before the error reaches the caller, so nothing the cells
+    // reference can go out of scope under a running thread.
+    std::atomic<int> finished{0};
+    EXPECT_THROW(parallelMap(12, 4,
+                             [&finished](std::size_t i) {
+                                 if (i == 0)
+                                     throw std::runtime_error("boom");
+                                 std::this_thread::sleep_for(
+                                     std::chrono::milliseconds(5));
+                                 ++finished;
+                                 return i;
+                             }),
                  std::runtime_error);
+    EXPECT_EQ(finished.load(), 11);
 }
 
 TEST(SweepSeed, DeterministicAndWellSpread)
@@ -128,113 +96,116 @@ TEST(SweepSeed, DeterministicAndWellSpread)
     EXPECT_NE(sweepCellSeed(42, 0), sweepCellSeed(43, 0));
 }
 
-/** Small 4-core sweep cells matching the CLI's --sweep layout. */
-struct SweepFixture
+/** Small 4-core sweep cells, laid out as the CLI's --sweep does. */
+std::vector<CampaignCell>
+sweepCells(const std::string &scheme = "morph")
 {
-    HierarchyParams hier = fastScaleHierarchy(4);
-    GeneratorParams gen = generatorFor(hier);
-    SimParams sim;
-    std::vector<std::unique_ptr<Workload>> prototypes;
-    std::vector<SimCellSpec> cells;
-
-    explicit SweepFixture(const std::string &scheme = "morph",
-                          bool stats_json = true)
-    {
-        sim.epochs = 3;
-        sim.warmupEpochs = 1;
-        sim.refsPerEpochPerCore = 1500;
-        for (std::uint64_t index = 0; index < 4; ++index) {
-            const std::uint64_t seed = sweepCellSeed(42, index);
-            char name[16];
-            std::snprintf(name, sizeof(name), "MIX %02d",
-                          static_cast<int>(index) + 1);
-            MixSpec mix = mixByName(name);
-            mix.benchmarks.resize(4);
-            prototypes.push_back(
-                std::make_unique<MixWorkload>(mix, gen, seed));
-
-            SimCellSpec spec;
-            spec.label = std::string(name) + " " + scheme;
-            spec.workload = prototypes.back().get();
-            spec.scheme = scheme;
-            spec.hier = hier;
-            spec.sim = sim;
-            spec.seed = seed;
-            spec.configDesc = spec.label;
-            spec.wantStatsJson = stats_json;
-            cells.push_back(std::move(spec));
-        }
-    }
-};
-
-void
-expectSameRun(const RunResult &a, const RunResult &b)
-{
-    EXPECT_EQ(a.avgThroughput, b.avgThroughput);
-    EXPECT_EQ(a.performance, b.performance);
-    ASSERT_EQ(a.epochs.size(), b.epochs.size());
-    for (std::size_t e = 0; e < a.epochs.size(); ++e) {
-        EXPECT_EQ(a.epochs[e].ipc, b.epochs[e].ipc);
-        EXPECT_EQ(a.epochs[e].misses, b.epochs[e].misses);
-    }
-    EXPECT_EQ(a.avgIpc, b.avgIpc);
+    CampaignPlan plan;
+    plan.base.scheme = scheme;
+    plan.base.cores = 4;
+    plan.base.epochs = 3;
+    plan.base.refs = 1500;
+    plan.base.seed = 42;
+    plan.mixLo = 1;
+    plan.mixHi = 4;
+    return plan.cells();
 }
 
 TEST(SimSweep, SerialAndParallelRunsAreIdentical)
 {
-    SweepFixture fixture;
-    const auto serial = runSimSweep(fixture.cells, 1);
-    const auto parallel = runSimSweep(fixture.cells, 8);
-    ASSERT_EQ(serial.size(), parallel.size());
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-        ASSERT_TRUE(serial[i].ok());
-        ASSERT_TRUE(parallel[i].ok());
-        const SimCellResult &a = *serial[i].value;
-        const SimCellResult &b = *parallel[i].value;
-        expectSameRun(a.run, b.run);
-        EXPECT_EQ(a.finalTopology, b.finalTopology);
-        EXPECT_EQ(a.reconfig.merges, b.reconfig.merges);
-        EXPECT_EQ(a.reconfig.splits, b.reconfig.splits);
-        // The whole per-cell stats registry, byte for byte.
-        EXPECT_FALSE(a.statsJson.empty());
-        EXPECT_EQ(a.statsJson, b.statsJson);
-    }
+    const std::vector<CampaignCell> cells = sweepCells();
+    const CampaignReport serial = runSweep(cells, 1, true);
+    const CampaignReport parallel = runSweep(cells, 8, true);
+    EXPECT_EQ(serial.done, cells.size());
+    EXPECT_EQ(serial.reportText, parallel.reportText);
+    // Every cell's whole stats registry, byte for byte.
+    EXPECT_NE(serial.statsJsonArray.find("\"meta\""),
+              std::string::npos);
+    EXPECT_EQ(serial.statsJsonArray, parallel.statsJsonArray);
 }
 
 TEST(SimSweep, StaticSchemeCellsRun)
 {
-    SweepFixture fixture("static:4:1:1", false);
-    const auto results = runSimSweep(fixture.cells, 2);
-    for (const auto &cell : results) {
-        ASSERT_TRUE(cell.ok());
-        EXPECT_GT(cell.value->run.avgThroughput, 0.0);
-        EXPECT_TRUE(cell.value->statsJson.empty());
-    }
+    const std::vector<CampaignCell> cells = sweepCells("static:4:1:1");
+    const CampaignReport report = runSweep(cells, 2, false);
+    EXPECT_EQ(report.done, cells.size());
+    EXPECT_EQ(report.failed, 0u);
+    EXPECT_TRUE(report.statsJsonArray.empty());
+    const CellOutcome o = runCell(cells[0], "", ExecutorOptions{});
+    EXPECT_GT(o.throughput, 0.0);
+    EXPECT_EQ(o.finalTopology, "(4:1:1)") << o.finalTopology;
 }
 
-TEST(SimSweep, CellCloneLeavesPrototypePristine)
+TEST(SimSweep, SameCellTwiceIsByteIdentical)
 {
-    SweepFixture fixture;
-    // Running the same spec twice must give identical results: the
-    // cell consumes a clone, never the prototype workload itself.
-    const SimCellResult first = runSimCell(fixture.cells[0]);
-    const SimCellResult second = runSimCell(fixture.cells[0]);
-    expectSameRun(first.run, second.run);
+    // A cell owns all its state: running it again, in one process,
+    // must give the same bytes.
+    const CampaignCell cell = sweepCells()[0];
+    ExecutorOptions opts;
+    opts.wantStatsJson = true;
+    const CellOutcome first = runCell(cell, "", opts);
+    const CellOutcome second = runCell(cell, "", opts);
+    EXPECT_FALSE(first.statsJson.empty());
     EXPECT_EQ(first.statsJson, second.statsJson);
+    EXPECT_EQ(serializeOutcome(first), serializeOutcome(second));
 }
 
 TEST(SimSweep, UnknownSchemeFailsItsCellOnly)
 {
-    SweepFixture fixture;
-    fixture.cells[1].scheme = "quantum-annealer";
-    const auto results = runSimSweep(fixture.cells, 4);
-    ASSERT_EQ(results.size(), 4u);
-    EXPECT_TRUE(results[0].ok());
-    EXPECT_FALSE(results[1].ok());
-    EXPECT_NE(results[1].error.find("quantum-annealer"),
+    std::vector<CampaignCell> cells = sweepCells();
+    cells[1].spec.scheme = "quantum-annealer";
+    const CampaignReport report = runSweep(cells, 4, true);
+    EXPECT_EQ(report.done, 3u);
+    EXPECT_EQ(report.failed, 1u);
+    EXPECT_NE(report.reportText.find(
+                  "FAILED after 1 attempts: unknown scheme "
+                  "'quantum-annealer'"),
+              std::string::npos)
+        << report.reportText;
+    EXPECT_EQ(report.statsJsonArray.find("quantum-annealer"),
               std::string::npos);
-    EXPECT_TRUE(results[2].ok());
-    EXPECT_TRUE(results[3].ok());
+}
+
+/**
+ * The non-durable sweep and the durable campaign are one plan, one
+ * cell function and one renderer: the same cells — one of them
+ * failing — give the same report and stats bytes either way.
+ */
+TEST(Sweep, MatchesDurableCampaignBytes)
+{
+    std::vector<CampaignCell> cells = sweepCells();
+    cells[2].spec.scheme = "bogus";
+
+    CampaignOptions opts;
+    opts.manifestPath =
+        std::string(::testing::TempDir()) + "sweep_vs_campaign.jsonl";
+    opts.jobs = 2;
+    opts.wantStatsJson = true;
+    const CampaignReport durable = runCampaign(cells, opts);
+    std::filesystem::remove(opts.manifestPath);
+    std::filesystem::remove_all(campaignStateDir(opts.manifestPath));
+
+    const CampaignReport sweep = runSweep(cells, 2, true);
+    EXPECT_EQ(sweep.failed, 1u);
+    EXPECT_EQ(sweep.reportText, durable.reportText);
+    EXPECT_EQ(sweep.statsJsonArray, durable.statsJsonArray);
+}
+
+TEST(Sweep, InterruptFlagStopsTheSweep)
+{
+    const std::vector<CampaignCell> cells = sweepCells();
+    requestCkptInterrupt();
+    const CampaignReport stopped = runSweep(cells, 2, true);
+    clearCkptInterrupt();
+    EXPECT_TRUE(stopped.interrupted);
+    EXPECT_TRUE(stopped.reportText.empty());
+    EXPECT_TRUE(stopped.statsJsonArray.empty());
+
+    // Nothing was kept: the next sweep runs every cell from scratch.
+    const CampaignReport rerun = runSweep(cells, 2, true);
+    EXPECT_FALSE(rerun.interrupted);
+    EXPECT_EQ(rerun.done, cells.size());
+    EXPECT_EQ(rerun.reportText, runSweep(cells, 1, true).reportText);
 }
 
 } // namespace

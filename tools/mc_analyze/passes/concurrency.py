@@ -1,8 +1,8 @@
 """Pass 4: concurrency discipline in the runner.
 
 ``src/runner`` is the only multi-threaded corner of the repo (the
-campaign executor fans out claim/run/heartbeat threads; the thread
-pool runs sharded work). The discipline the code review enforces by
+campaign executor fans out claim/run/heartbeat threads; parallelMap
+fans sweep cells out over worker threads). The discipline the code review enforces by
 hand is mechanical:
 
   mutable state reachable from a thread entry point must be

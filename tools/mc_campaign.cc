@@ -62,6 +62,7 @@
 #include "common/error.hh"
 #include "common/logging.hh"
 #include "common/serial.hh"
+#include "io/vfs.hh"
 #include "runner/executor.hh"
 #include "runner/lease.hh"
 
@@ -493,12 +494,10 @@ runMerge(const Options &opts)
         renderCampaignReport(cells, outcomes, wantStats);
     std::printf("%s", report.reportText.c_str());
     if (wantStats) {
-        FILE *out = std::fopen(opts.statsOutPath.c_str(), "w");
-        if (!out)
-            fatal("cannot write '%s'", opts.statsOutPath.c_str());
-        std::fwrite(report.statsJsonArray.data(), 1,
-                    report.statsJsonArray.size(), out);
-        std::fclose(out);
+        vfsWriteWholeFile(opts.statsOutPath,
+                          report.statsJsonArray.data(),
+                          report.statsJsonArray.size(),
+                          /*want_fsync=*/false);
         std::fprintf(stderr, "stats registries written to %s\n",
                      opts.statsOutPath.c_str());
     }

@@ -23,7 +23,8 @@
  * Sweep mode (deterministic parallel experiment runner):
  *     --sweep            run a mix × seed sweep of the chosen
  *                        scheme instead of a single run; stdout is
- *                        byte-identical for any --jobs value
+ *                        byte-identical for any --jobs value, and
+ *                        to the same sweep run with --manifest
  *     --mixes A-B        mix range swept (default 1-12)
  *     --sweep-seeds K    seed replicas per mix (default 1); cell
  *                        seeds derive from --seed via
@@ -52,6 +53,8 @@
  *     --cell-timeout SEC wall-clock watchdog per cell try
  *     SIGINT/SIGTERM checkpoint in-flight state and exit 75
  *     (resumable); rerun with --restore / --resume to finish.
+ *     Without --checkpoint or --manifest a run stops at the next
+ *     epoch boundary, loses its progress, and also exits 75.
  *
  * Observability options:
  *     --trace FILE       decision-provenance event trace
@@ -95,15 +98,12 @@
 #include <vector>
 
 #include "check/fault.hh"
-#include "check/invariant.hh"
 #include "ckpt/ckpt.hh"
 #include "common/error.hh"
 #include "common/logging.hh"
-#include "perf/clock.hh"
+#include "io/vfs.hh"
 #include "runner/campaign.hh"
 #include "runner/run_factory.hh"
-#include "runner/sim_sweep.hh"
-#include "sim/config.hh"
 #include "sim/simulation.hh"
 #include "stats/profiler.hh"
 #include "stats/registry.hh"
@@ -361,17 +361,6 @@ parseArgs(int argc, char **argv)
     return opts;
 }
 
-MorphConfig
-morphConfigFromSpec(const RunSpec &spec, bool shared_space)
-{
-    MorphConfig config;
-    config.sharedAddressSpace = shared_space;
-    config.checkPolicy = checkPolicyFromName(spec.checkPolicy);
-    config.quarantineCleanEpochs = spec.quarantine;
-    config.faults = spec.faults;
-    return config;
-}
-
 /**
  * SIGINT/SIGTERM raise the ckpt interrupt flag; run loops notice it
  * at the next epoch boundary, flush manifest/checkpoint state, and
@@ -384,14 +373,24 @@ handleInterruptSignal(int)
 }
 
 /**
- * Campaign mode: the crash-resilient cousin of --sweep. Cells,
- * labels, and seeds mirror runSweep exactly, but progress is
- * durable in the manifest and per-cell checkpoints, so a killed
- * campaign resumed with --resume finishes with identical bytes.
+ * Sweep mode: mix × seed cells of the chosen scheme, from the same
+ * CampaignPlan that mc_campaign embeds in its manifests. With
+ * --manifest/--resume the cells run as a durable campaign (a killed
+ * run resumed with --resume finishes with identical bytes);
+ * otherwise they run once, in memory. Either way stdout is the same
+ * pure function of the cell list, identical for any --jobs value.
  */
 int
-runCampaignMode(const Options &opts)
+runSweepMode(const Options &opts)
 {
+    CampaignPlan plan;
+    plan.base = opts.spec;
+    plan.mixLo = opts.mixLo;
+    plan.mixHi = opts.mixHi;
+    plan.sweepSeeds = opts.sweepSeeds;
+    const std::vector<CampaignCell> cells = plan.cells();
+    const bool want_stats = !opts.statsOutPath.empty();
+
     CampaignOptions copts;
     copts.resume = !opts.resumePath.empty();
     copts.manifestPath =
@@ -400,174 +399,36 @@ runCampaignMode(const Options &opts)
     copts.ckptEvery = opts.ckptEvery;
     copts.retryCells = opts.retryCells;
     copts.cellTimeoutSec = opts.cellTimeoutSec;
-    copts.wantStatsJson = !opts.statsOutPath.empty();
+    copts.wantStatsJson = want_stats;
+    const bool durable = !copts.manifestPath.empty();
 
-    // One cell-list generator for every campaign front end: the
-    // same CampaignPlan that mc_campaign embeds in its manifests,
-    // so the CLI and the distributed executor can never drift.
-    CampaignPlan plan;
-    plan.base = opts.spec;
-    plan.mixLo = opts.mixLo;
-    plan.mixHi = opts.mixHi;
-    plan.sweepSeeds = opts.sweepSeeds;
-    const std::vector<CampaignCell> cells = plan.cells();
-
-    const CampaignReport report = runCampaign(cells, copts);
+    const CampaignReport report =
+        durable ? runCampaign(cells, copts)
+                : runSweep(cells, opts.jobs, want_stats);
     if (report.interrupted) {
-        std::fprintf(stderr,
-                     "campaign interrupted; resume with --resume "
-                     "%s\n",
-                     copts.manifestPath.c_str());
+        if (durable) {
+            std::fprintf(stderr,
+                         "campaign interrupted; resume with "
+                         "--resume %s\n",
+                         copts.manifestPath.c_str());
+        } else {
+            std::fprintf(stderr, "interrupted (progress lost)\n");
+        }
         return ckptResumableExit;
     }
 
     std::printf("%s", report.reportText.c_str());
-    if (!opts.statsOutPath.empty()) {
-        FILE *out = std::fopen(opts.statsOutPath.c_str(), "w");
-        if (!out)
-            fatal("cannot write '%s'", opts.statsOutPath.c_str());
-        std::fwrite(report.statsJsonArray.data(), 1,
-                    report.statsJsonArray.size(), out);
-        std::fclose(out);
+    if (want_stats) {
+        vfsWriteWholeFile(opts.statsOutPath,
+                          report.statsJsonArray.data(),
+                          report.statsJsonArray.size(),
+                          /*want_fsync=*/false);
         // The path differs between runs being diffed, so this
         // confirmation stays out of the deterministic stdout stream.
         std::fprintf(stderr, "stats registries written to %s\n",
                      opts.statsOutPath.c_str());
     }
     return report.failed == 0 ? 0 : 1;
-}
-
-/**
- * Sweep mode: fan mix × seed cells of the chosen scheme across the
- * worker pool. Everything written to stdout is a pure function of
- * the cell list, so the bytes are identical for any --jobs value;
- * wall-clock telemetry goes to stderr.
- */
-int
-runSweep(const Options &opts)
-{
-    if (!opts.manifestPath.empty() || !opts.resumePath.empty())
-        return runCampaignMode(opts);
-
-    const HierarchyParams hier =
-        opts.spec.paperScale
-            ? paperScaleHierarchy(opts.spec.cores)
-            : fastScaleHierarchy(opts.spec.cores);
-    const GeneratorParams gen = generatorFor(hier);
-    SimParams sim;
-    sim.epochs = opts.spec.epochs;
-    sim.refsPerEpochPerCore = opts.spec.refs;
-
-    const std::string base_desc = describe(opts.spec);
-
-    std::vector<std::unique_ptr<Workload>> prototypes;
-    std::vector<SimCellSpec> cells;
-    std::uint64_t cell_index = 0;
-    for (std::uint32_t rep = 0; rep < opts.sweepSeeds; ++rep) {
-        for (std::uint32_t m = opts.mixLo; m <= opts.mixHi; ++m) {
-            const std::uint64_t seed =
-                sweepCellSeed(opts.spec.seed, cell_index);
-            char name[16];
-            std::snprintf(name, sizeof(name), "MIX %02d", m);
-            MixSpec mix = mixByName(name);
-            if (opts.spec.cores < mix.benchmarks.size())
-                mix.benchmarks.resize(opts.spec.cores);
-            prototypes.push_back(
-                std::make_unique<MixWorkload>(mix, gen, seed));
-
-            SimCellSpec spec;
-            char label[64];
-            std::snprintf(label, sizeof(label),
-                          "mix:%02u seed=%llu", m,
-                          static_cast<unsigned long long>(seed));
-            spec.label = label;
-            spec.workload = prototypes.back().get();
-            spec.scheme = opts.spec.scheme;
-            spec.hier = hier;
-            spec.sim = sim;
-            spec.morph = morphConfigFromSpec(opts.spec, false);
-            spec.seed = seed;
-            char desc[640];
-            std::snprintf(desc, sizeof(desc), "%s cell=%llu mix=%u",
-                          base_desc.c_str(),
-                          static_cast<unsigned long long>(cell_index),
-                          m);
-            spec.configDesc = desc;
-            spec.wantStatsJson = !opts.statsOutPath.empty();
-            cells.push_back(std::move(spec));
-            ++cell_index;
-        }
-    }
-
-    const double wall_start = perfNowSec();
-    const auto results = runSimSweep(cells, opts.jobs);
-    const double wall_s = perfNowSec() - wall_start;
-
-    std::printf("sweep      : %zu cells (mixes %u-%u x %u seeds), "
-                "scheme %s\n",
-                cells.size(), opts.mixLo, opts.mixHi,
-                opts.sweepSeeds, opts.spec.scheme.c_str());
-    std::size_t failed = 0;
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        const auto &cell = results[i];
-        if (!cell.ok()) {
-            ++failed;
-            std::printf("cell %3zu   : %-24s FAILED: %s\n", i,
-                        cells[i].label.c_str(),
-                        cell.error.c_str());
-            continue;
-        }
-        const SimCellResult &r = *cell.value;
-        std::printf("cell %3zu   : %-24s throughput=%.6f "
-                    "performance=%.6f final=%s",
-                    i, r.label.c_str(), r.run.avgThroughput,
-                    r.run.performance, r.finalTopology.c_str());
-        if (opts.spec.scheme == "morph") {
-            std::printf(" merges=%llu splits=%llu",
-                        static_cast<unsigned long long>(
-                            r.reconfig.merges),
-                        static_cast<unsigned long long>(
-                            r.reconfig.splits));
-        }
-        std::printf("\n");
-    }
-    if (failed > 0)
-        std::printf("sweep      : %zu of %zu cells FAILED\n", failed,
-                    results.size());
-
-    if (!opts.statsOutPath.empty()) {
-        std::string doc = "[\n";
-        bool first = true;
-        for (const auto &cell : results) {
-            if (!cell.ok())
-                continue;
-            if (!first)
-                doc += ",\n";
-            first = false;
-            doc += cell.value->statsJson;
-        }
-        doc += "\n]\n";
-        FILE *out = std::fopen(opts.statsOutPath.c_str(), "w");
-        if (!out) {
-            fatal("cannot write '%s'", opts.statsOutPath.c_str());
-        }
-        std::fwrite(doc.data(), 1, doc.size(), out);
-        std::fclose(out);
-        // The path differs between -j runs being diffed, so this
-        // confirmation stays out of the deterministic stdout stream.
-        std::fprintf(stderr, "stats registries written to %s\n",
-                     opts.statsOutPath.c_str());
-    }
-
-    // Timing is real wall-clock and must stay out of the
-    // deterministic stdout byte stream.
-    std::fprintf(stderr,
-                 "sweep: %zu cells on %u jobs in %.2f s\n",
-                 cells.size(),
-                 opts.jobs > 0 ? opts.jobs
-                               : ThreadPool::defaultThreads(),
-                 wall_s);
-    return failed == 0 ? 0 : 1;
 }
 
 } // namespace
@@ -583,7 +444,7 @@ run(const Options &opts)
     }
 
     if (opts.sweep)
-        return runSweep(opts);
+        return runSweepMode(opts);
 
     BuiltRun built = buildRun(opts.spec);
     Workload *workload = built.workload.get();
