@@ -73,6 +73,12 @@ HierarchyParams::validate() const
 {
     if (numCores == 0)
         throw ConfigError("numCores must be nonzero");
+    if (numCores > 64) {
+        throw ConfigError(
+            "numCores is " + std::to_string(numCores) +
+            "; at most 64 are supported (group queries keep one bit "
+            "per slice)");
+    }
     validateGeometry("L1", l1Geom);
     validateGeometry("L2", l2.sliceGeom);
     validateGeometry("L3", l3.sliceGeom);
@@ -121,8 +127,7 @@ Hierarchy::Hierarchy(const HierarchyParams &params)
     lineShift_ = exactLog2(params_.l1Geom.lineBytes);
     l1s_.reserve(params_.numCores);
     for (std::uint32_t c = 0; c < params_.numCores; ++c) {
-        l1s_.emplace_back(static_cast<SliceId>(c), params_.l1Geom,
-                          ReplPolicy::LRU);
+        l1s_.emplace_back(1, params_.l1Geom, ReplPolicy::LRU);
     }
 }
 
@@ -164,7 +169,7 @@ Hierarchy::enforceInclusion(const Topology &old_topology)
         if (superset)
             continue;
         const auto &backing = topology_.l3[new_l3[s]];
-        CacheSlice &slice = l2_.slice(static_cast<SliceId>(s));
+        const CacheSlice slice = l2_.slice(static_cast<SliceId>(s));
         for (std::uint64_t set = 0; set < geom.numSets(); ++set) {
             for (std::uint32_t way = 0; way < geom.assoc; ++way) {
                 if (!slice.validAt(set, way))
@@ -183,7 +188,7 @@ Hierarchy::enforceInclusion(const Topology &old_topology)
 
     // L1 lines must be present in the owning core's new L2 group.
     for (std::uint32_t c = 0; c < params_.numCores; ++c) {
-        CacheSlice &l1 = l1s_[c];
+        CacheSlice l1 = l1s_[c].slice(0);
         const auto &l1_geom = params_.l1Geom;
         for (std::uint64_t set = 0; set < l1_geom.numSets(); ++set) {
             for (std::uint32_t way = 0; way < l1_geom.assoc; ++way) {
@@ -219,7 +224,7 @@ Hierarchy::access(const MemAccess &access, Cycle now)
     result.latency = params_.l1Latency;
 
     // ---- L1 -----------------------------------------------------
-    CacheSlice &l1 = l1s_[access.core];
+    CacheSlice l1 = l1s_[access.core].slice(0);
     if (const auto way = l1.probe(line)) {
         const std::uint64_t set = l1.setIndex(line);
         l1.touch(set, *way, ++l1Stamp_);
@@ -293,7 +298,7 @@ Hierarchy::access(const MemAccess &access, Cycle now)
 void
 Hierarchy::fillL1(CoreId core, Addr line_addr, bool dirty)
 {
-    CacheSlice &l1 = l1s_[core];
+    CacheSlice l1 = l1s_[core].slice(0);
     const std::uint64_t set = l1.setIndex(line_addr);
     const std::uint32_t way = l1.victimWay(set);
     const Eviction ev = l1.fill(set, way, line_addr, dirty, ++l1Stamp_);
@@ -328,7 +333,7 @@ Hierarchy::fillL2(CoreId core, Addr line_addr, bool dirty)
     bool victim_dirty = out.evicted.dirty;
     for (SliceId member : l2_.partition()[l2_.groupOf(out.evictedFrom)]) {
         const Eviction ev =
-            l1s_[member].invalidate(out.evicted.lineAddr);
+            l1s_[member].slice(0).invalidate(out.evicted.lineAddr);
         if (ev.valid && ev.dirty)
             victim_dirty = true;
     }
@@ -359,7 +364,7 @@ Hierarchy::fillL3(CoreId core, Addr line_addr, bool dirty)
         victim_dirty = true;
     for (SliceId member : backing) {
         const Eviction ev =
-            l1s_[member].invalidate(out.evicted.lineAddr);
+            l1s_[member].slice(0).invalidate(out.evicted.lineAddr);
         if (ev.valid && ev.dirty)
             victim_dirty = true;
     }
@@ -373,7 +378,7 @@ Hierarchy::coherenceInvalidate(CoreId writer, Addr line_addr)
     for (std::uint32_t c = 0; c < params_.numCores; ++c) {
         if (c == writer)
             continue;
-        l1s_[c].invalidate(line_addr);
+        l1s_[c].slice(0).invalidate(line_addr);
     }
     l2_.invalidateOutsideGroup(writer, line_addr);
     l3_.invalidateOutsideGroup(writer, line_addr);
@@ -400,11 +405,11 @@ Hierarchy::resetFootprints()
     l3_.resetFootprints();
 }
 
-CacheSlice &
+CacheSlice
 Hierarchy::l1(CoreId core)
 {
     MC_ASSERT(core < params_.numCores);
-    return l1s_[core];
+    return l1s_[core].slice(0);
 }
 
 void
@@ -480,8 +485,8 @@ Hierarchy::saveState(CkptWriter &w) const
     savePartition(w, topology_.l2);
     savePartition(w, topology_.l3);
     w.u64(l1s_.size());
-    for (const CacheSlice &l1 : l1s_)
-        l1.saveState(w);
+    for (const TagArena &l1 : l1s_)
+        l1.slice(0).saveState(w);
     l2_.saveState(w);
     l3_.saveState(w);
     for (const CoreStats &stats : coreStats_) {
@@ -512,8 +517,8 @@ Hierarchy::loadState(CkptReader &r)
     topology.l3 = loadPartition(r, params_.numCores);
     topology_ = std::move(topology);
     r.expectU64("L1 slice count", l1s_.size());
-    for (CacheSlice &l1 : l1s_)
-        l1.loadState(r);
+    for (TagArena &l1 : l1s_)
+        l1.slice(0).loadState(r);
     l2_.loadState(r);
     l3_.loadState(r);
     for (CoreStats &stats : coreStats_) {

@@ -171,8 +171,8 @@ class Hierarchy
     /** Number of cores. */
     std::uint32_t numCores() const { return params_.numCores; }
 
-    /** Direct L1 access (tests). */
-    CacheSlice &l1(CoreId core);
+    /** View of a core's L1 (tests, reconfiguration walks). */
+    CacheSlice l1(CoreId core);
 
     /**
      * Serialize the complete cache state: topology, L1 slices, both
@@ -208,7 +208,8 @@ class Hierarchy
      * across levels, validated at construction).
      */
     unsigned lineShift_ = 0; // ckpt: derived(Hierarchy)
-    std::vector<CacheSlice> l1s_;
+    /** One single-slice arena per core's private L1. */
+    std::vector<TagArena> l1s_;
     CacheLevelModel l2_;
     CacheLevelModel l3_;
     Topology topology_;

@@ -240,7 +240,8 @@ naiveVictim(const std::vector<NaiveLine> &set)
 TEST(ReferenceModel, VictimWayPrefersInvalidThenMinStamp)
 {
     const CacheGeometry geom{8 * 1024, 8, 64}; // 16 sets x 8 ways
-    CacheSlice slice(0, geom, ReplPolicy::LRU);
+    TagArena arena(1, geom, ReplPolicy::LRU);
+    CacheSlice slice = arena.slice(0);
     std::vector<std::vector<NaiveLine>> mirror(
         geom.numSets(), std::vector<NaiveLine>(geom.assoc));
 
@@ -331,7 +332,8 @@ struct NaivePlru
 TEST(ReferenceModel, TreePlruVictimMatchesNaiveDescent)
 {
     const CacheGeometry geom{4 * 1024, 8, 64}; // 8 sets x 8 ways
-    CacheSlice slice(0, geom, ReplPolicy::TreePLRU);
+    TagArena arena(1, geom, ReplPolicy::TreePLRU);
+    CacheSlice slice = arena.slice(0);
     std::vector<NaivePlru> mirror(geom.numSets(), NaivePlru(8));
     // Fill every way so victimWay reaches the PLRU tree.
     std::uint64_t stamp = 0;

@@ -81,14 +81,16 @@ TEST(PlruTree, TwoWayAlternates)
 
 TEST(Slice, ProbeMissOnEmpty)
 {
-    CacheSlice slice(0, l2Geom());
+    TagArena arena(1, l2Geom());
+    CacheSlice slice = arena.slice(0);
     EXPECT_FALSE(slice.probe(0x1000).has_value());
     EXPECT_EQ(slice.validLineCount(), 0u);
 }
 
 TEST(Slice, FillThenHit)
 {
-    CacheSlice slice(0, l2Geom());
+    TagArena arena(1, l2Geom());
+    CacheSlice slice = arena.slice(0);
     const Addr line = 0xabcd;
     const std::uint64_t set = slice.setIndex(line);
     const Eviction ev = slice.fill(set, 0, line, false, 1);
@@ -101,7 +103,8 @@ TEST(Slice, FillThenHit)
 
 TEST(Slice, LruEvictsOldest)
 {
-    CacheSlice slice(0, l2Geom());
+    TagArena arena(1, l2Geom());
+    CacheSlice slice = arena.slice(0);
     const std::uint64_t set = 7;
     const std::uint64_t sets = l2Geom().numSets();
     // Fill all 8 ways of one set with increasing stamps.
@@ -117,7 +120,8 @@ TEST(Slice, LruEvictsOldest)
 
 TEST(Slice, FillReturnsEvictionWithDirtyFlag)
 {
-    CacheSlice slice(0, l2Geom());
+    TagArena arena(1, l2Geom());
+    CacheSlice slice = arena.slice(0);
     const std::uint64_t set = 0;
     const std::uint64_t sets = l2Geom().numSets();
     for (std::uint32_t i = 0; i < 8; ++i)
@@ -131,7 +135,8 @@ TEST(Slice, FillReturnsEvictionWithDirtyFlag)
 
 TEST(Slice, InvalidateRemovesLine)
 {
-    CacheSlice slice(0, l2Geom());
+    TagArena arena(1, l2Geom());
+    CacheSlice slice = arena.slice(0);
     const Addr line = 0x77;
     slice.fill(slice.setIndex(line), 2, line, true, 1);
     const Eviction ev = slice.invalidate(line);
@@ -144,7 +149,8 @@ TEST(Slice, InvalidateRemovesLine)
 
 TEST(Slice, InvalidateAll)
 {
-    CacheSlice slice(0, l2Geom());
+    TagArena arena(1, l2Geom());
+    CacheSlice slice = arena.slice(0);
     for (Addr line = 0; line < 64; ++line)
         slice.fill(slice.setIndex(line), 0, line, false, line + 1);
     EXPECT_GT(slice.validLineCount(), 0u);
@@ -154,7 +160,8 @@ TEST(Slice, InvalidateAll)
 
 TEST(Slice, VictimPrefersInvalidWays)
 {
-    CacheSlice slice(0, l2Geom());
+    TagArena arena(1, l2Geom());
+    CacheSlice slice = arena.slice(0);
     slice.fill(0, 0, 0, false, 100);
     slice.fill(0, 1, l2Geom().numSets(), false, 1);
     // Ways 2.. are invalid; victim must be one of them, not the
@@ -164,7 +171,8 @@ TEST(Slice, VictimPrefersInvalidWays)
 
 TEST(Slice, PlruPolicyVictims)
 {
-    CacheSlice slice(0, l2Geom(), ReplPolicy::TreePLRU);
+    TagArena arena(1, l2Geom(), ReplPolicy::TreePLRU);
+    CacheSlice slice = arena.slice(0);
     const std::uint64_t sets = l2Geom().numSets();
     for (std::uint32_t i = 0; i < 8; ++i)
         slice.fill(0, i, sets * (i + 1), false, 1);
@@ -185,7 +193,8 @@ TEST_P(SliceFillSweep, CapacityNeverExceeded)
     const std::uint32_t assoc = GetParam();
     const CacheGeometry geom{64 * 1024, assoc, 64};
     ASSERT_TRUE(geom.valid());
-    CacheSlice slice(0, geom);
+    TagArena arena(1, geom);
+    CacheSlice slice = arena.slice(0);
     for (Addr line = 0; line < 4 * geom.numLines(); ++line) {
         const std::uint64_t set = geom.setIndex(line);
         slice.fill(set, slice.victimWay(set), line, false, line + 1);
