@@ -31,6 +31,9 @@
  *       Exits 0 when the campaign is complete, 75 (resumable) on
  *       SIGINT/SIGTERM.
  *
+ *   Every command exits 75 (resumable) on a persistent i/o error
+ *   (a full or failing filesystem): state on disk stays consistent.
+ *
  *   mc_campaign status --manifest FILE
  *       live progress aggregate: per-cell status from the manifest,
  *       result files, and leases. Exits 0 when every cell has a
@@ -327,6 +330,10 @@ runWork(const Options &opts)
             int code = 1;
             try {
                 code = runOneWorker(mine);
+            } catch (const IoError &err) {
+                std::fprintf(stderr, "worker i/o error: %s\n",
+                             err.what());
+                code = ckptResumableExit;
             } catch (const SimError &err) {
                 std::fprintf(stderr, "worker error: %s\n",
                              err.what());
@@ -533,6 +540,17 @@ main(int argc, char **argv)
         if (opts.command == "merge")
             return runMerge(opts);
         return runReap(opts);
+    } catch (const IoError &err) {
+        // A persistent filesystem fault (ENOSPC, EIO): what is on
+        // disk is complete-old or complete-new, so the command can
+        // be rerun once the medium recovers — the same resumable
+        // exit code (75) morphcache_sim uses for this fault.
+        std::fprintf(stderr,
+                     "i/o error: %s\n"
+                     "state on disk is consistent; rerun once the "
+                     "filesystem recovers\n",
+                     err.what());
+        return ckptResumableExit;
     } catch (const SimError &err) {
         fatal("%s", err.what());
     }

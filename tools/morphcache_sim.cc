@@ -669,17 +669,22 @@ main(int argc, char **argv)
     try {
         return run(opts);
     } catch (const IoError &err) {
-        // A persistent filesystem fault (ENOSPC, EIO, dead NFS).
-        // The durable state on disk is complete-old or complete-new
-        // by construction, so this run is resumable once the medium
-        // recovers — signalled with the same exit code as an
-        // interrupt (75, EX_TEMPFAIL).
-        std::fprintf(stderr,
-                     "i/o error: %s\n"
-                     "state on disk is consistent; rerun with "
-                     "--resume/--restore once the filesystem "
-                     "recovers\n",
-                     err.what());
+        // A persistent filesystem fault (ENOSPC, EIO, dead NFS),
+        // signalled with the same exit code as an interrupt (75,
+        // EX_TEMPFAIL). A durable run's state on disk is complete-old
+        // or complete-new by construction, so it resumes once the
+        // medium recovers; a run with no checkpoint or manifest has
+        // nothing on disk to resume from.
+        const bool durable =
+            !opts.checkpointPath.empty() || !opts.restorePath.empty() ||
+            !opts.manifestPath.empty() || !opts.resumePath.empty();
+        std::fprintf(stderr, "i/o error: %s\n%s", err.what(),
+                     durable ? "state on disk is consistent; rerun "
+                               "with --resume/--restore once the "
+                               "filesystem recovers\n"
+                             : "this run keeps no state on disk; "
+                               "rerun it once the filesystem "
+                               "recovers\n");
         return ckptResumableExit;
     } catch (const SimError &err) {
         std::fprintf(stderr, "error: %s\n", err.what());
