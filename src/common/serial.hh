@@ -32,6 +32,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -91,8 +92,14 @@ class CkptWriter
     void
     bytes(const void *data, std::size_t size)
     {
-        const auto *p = static_cast<const std::uint8_t *>(data);
-        buf_.insert(buf_.end(), p, p + size);
+        // Grow, then copy: GCC 12 misreads a range insert into a
+        // still-empty buffer as a write past its end
+        // (-Wstringop-overflow).
+        if (size == 0)
+            return;
+        const std::size_t at = buf_.size();
+        buf_.resize(at + size);
+        std::memcpy(buf_.data() + at, data, size);
     }
 
     void
