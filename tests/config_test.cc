@@ -149,6 +149,12 @@ TEST(Config, ValidateRejectsSliceCountMismatch)
     expectInvalid(params, "one slice per core");
 }
 
+TEST(Config, ValidateRejectsMoreThan64Cores)
+{
+    EXPECT_NO_THROW(fastScaleHierarchy(64).validate());
+    expectInvalid(fastScaleHierarchy(65), "at most 64");
+}
+
 TEST(Config, ValidateRejectsLineSizeMismatchAcrossLevels)
 {
     HierarchyParams params = fastScaleHierarchy(4);
